@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mdp_core::math::linalg::{Cholesky, Matrix};
-use mdp_core::math::rng::{
-    NormalInverse, NormalPolar, NormalSampler, Pcg64, Rng64, Xoshiro256StarStar,
-};
+use mdp_core::math::rng::{NormalInverse, NormalPolar, NormalSampler, Rng64, Xoshiro256StarStar};
 use mdp_core::math::sobol::SobolSequence;
 use mdp_core::math::special::{inv_norm_cdf, norm_cdf};
 use std::hint::black_box;
@@ -16,16 +14,6 @@ fn bench_rngs(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1024));
     g.bench_function("xoshiro256**", |b| {
         let mut r = Xoshiro256StarStar::seed_from(1);
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..1024 {
-                acc ^= r.next_u64();
-            }
-            black_box(acc)
-        })
-    });
-    g.bench_function("pcg64", |b| {
-        let mut r = Pcg64::seed_from(1);
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..1024 {

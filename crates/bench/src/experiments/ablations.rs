@@ -91,7 +91,7 @@ pub fn a2_decomposition(effort: Effort) {
     let n = effort.scale(96, 256);
     let p = 8;
     let run = |d: Decomposition| {
-        price_cluster(&m, &prod, n, p, Machine::cluster2002(), d)
+        price_cluster(&m, &prod, n, p, Machine::cluster2002(), d, None)
             .unwrap()
             .time
     };
@@ -222,11 +222,11 @@ pub fn a4_machine_parameters(effort: Effort) {
         ("bw÷10", Machine::cluster2002().with_bandwidth_factor(0.1)),
     ];
     for (name, machine) in machines {
-        let t1 = price_cluster(&m, &prod, n, 1, machine, Decomposition::Block)
+        let t1 = price_cluster(&m, &prod, n, 1, machine, Decomposition::Block, None)
             .unwrap()
             .time
             .makespan;
-        let tp = price_cluster(&m, &prod, n, p, machine, Decomposition::Block)
+        let tp = price_cluster(&m, &prod, n, p, machine, Decomposition::Block, None)
             .unwrap()
             .time
             .makespan;

@@ -28,6 +28,7 @@ fn lattice_curve(n: usize) -> ScalingCurve {
                 ranks,
                 Machine::cluster2002(),
                 Decomposition::Block,
+                None,
             )
             .unwrap()
             .time
@@ -287,6 +288,7 @@ pub fn f5_weak_scaling(effort: Effort) {
                 ranks,
                 Machine::cluster2002(),
                 Decomposition::Block,
+                None,
             )
             .unwrap();
             if ranks == 1 {
@@ -330,6 +332,7 @@ pub fn f6_isoefficiency(effort: Effort) {
                 p,
                 Machine::cluster2002(),
                 Decomposition::Block,
+                None,
             )
             .unwrap()
             .time

@@ -75,6 +75,7 @@ pub fn t2_parallel_lattice(effort: Effort) {
                 ranks,
                 Machine::cluster2002(),
                 Decomposition::Block,
+                None,
             )
             .expect("cluster lattice");
             if ranks == 1 {
@@ -831,6 +832,7 @@ pub fn t6_communication_overhead(effort: Effort) {
             ranks,
             Machine::cluster2002(),
             Decomposition::Block,
+            None,
         )
         .unwrap();
         t.push(&[
@@ -879,7 +881,6 @@ pub fn t6_communication_overhead(effort: Effort) {
 /// the fault-free run. Writes `BENCH_fault_tolerance.json` so CI can
 /// gate on the overhead and recovery fields.
 pub fn t6b_fault_tolerance(effort: Effort) {
-    use mdp_core::lattice::cluster::price_cluster_ft;
     use mdp_core::mc::cluster_driver::price_mc_cluster_ft;
 
     let mut t = Table::new(
@@ -897,6 +898,7 @@ pub fn t6b_fault_tolerance(effort: Effort) {
         ranks,
         Machine::cluster2002(),
         Decomposition::Block,
+        None,
     )
     .unwrap();
     let base_ms = plain.time.makespan * 1e3;
@@ -907,14 +909,14 @@ pub fn t6b_fault_tolerance(effort: Effort) {
         Effort::Full => &[1, 4, 8, 16, 32],
     };
     for (i, &interval) in intervals.iter().enumerate() {
-        let ft = price_cluster_ft(
+        let ft = price_cluster(
             &m2,
             &prod,
             n,
             ranks,
             Machine::cluster2002(),
-            FaultPlan::new(0),
-            interval,
+            Decomposition::Block,
+            Some((FaultPlan::new(0), interval)),
         )
         .unwrap();
         assert_eq!(
@@ -954,7 +956,16 @@ pub fn t6b_fault_tolerance(effort: Effort) {
     let mut rows: Vec<String> = Vec::new();
     for &crash_at in &crash_steps {
         let plan = FaultPlan::new(0).with_crash(1, crash_at);
-        let ft = price_cluster_ft(&m2, &prod, n, ranks, Machine::cluster2002(), plan, 16).unwrap();
+        let ft = price_cluster(
+            &m2,
+            &prod,
+            n,
+            ranks,
+            Machine::cluster2002(),
+            Decomposition::Block,
+            Some((plan, 16)),
+        )
+        .unwrap();
         assert_eq!(
             ft.price.to_bits(),
             plain.price.to_bits(),
@@ -1231,7 +1242,7 @@ pub fn t9_barriers_and_pde_scaling(effort: Effort) {
     for machine in [Machine::cluster2002(), Machine::smp()] {
         let mut t1v = 0.0;
         for ranks in [1usize, 2, 4, 8] {
-            let out = cfg.price(&m1, &vanilla, ranks, machine).unwrap();
+            let out = cfg.price(&m1, &vanilla, ranks, machine, None).unwrap();
             if ranks == 1 {
                 t1v = out.time.makespan;
             }
@@ -2438,8 +2449,26 @@ pub fn t15_cluster_scale(effort: Effort) {
     let prod2 = max_call();
     let n_lat = effort.scale(128, 512);
     for &p in lat_procs {
-        let flat = price_cluster(&m2, &prod2, n_lat, p, flat_machine, Decomposition::Block).unwrap();
-        let hier = price_cluster(&m2, &prod2, n_lat, p, auto_machine, Decomposition::Block).unwrap();
+        let flat = price_cluster(
+            &m2,
+            &prod2,
+            n_lat,
+            p,
+            flat_machine,
+            Decomposition::Block,
+            None,
+        )
+        .unwrap();
+        let hier = price_cluster(
+            &m2,
+            &prod2,
+            n_lat,
+            p,
+            auto_machine,
+            Decomposition::Block,
+            None,
+        )
+        .unwrap();
         assert_eq!(
             flat.price.to_bits(),
             hier.price.to_bits(),

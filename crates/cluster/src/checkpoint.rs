@@ -67,8 +67,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::comm::Communicator;
+use crate::engine::CollectiveEngine;
+use crate::error::ClusterError;
+use crate::fault::FaultPlan;
+use crate::machine::Machine;
 use crate::message::{Message, Tag, FT_TAG_BASE};
-use crate::thread_comm::ThreadComm;
+use crate::thread_comm::{run_spmd, run_spmd_ft, FtRunOutcome, ThreadComm};
 
 /// Tag for the failure-agreement bitmask exchange.
 const AGREE_TAG: Tag = FT_TAG_BASE;
@@ -215,13 +219,20 @@ pub struct Recovery {
 
 /// Per-rank driver-side coordinator for checkpointing and recovery.
 ///
-/// Drivers construct one per rank, call [`Supervisor::boundary`] at
-/// every step boundary, and react to the returned [`Recovery`] by
-/// rebuilding their shard from the pooled records over the shrunken
-/// [`Supervisor::active`] set.
+/// Drivers construct one per rank (or get one from [`run_supervised`]),
+/// call [`Supervisor::boundary`] at every step boundary, and react to
+/// the returned [`Recovery`] by rebuilding their shard from the pooled
+/// records over the shrunken [`Supervisor::active`] set.
+///
+/// A supervisor without a checkpoint policy (what [`run_supervised`]
+/// gives each rank when no policy is set) is inert: its active set
+/// stays `0..p` and its boundaries never checkpoint, charge or recover,
+/// so a driver written over the active set runs the fault-free
+/// schedule.
 #[derive(Debug)]
 pub struct Supervisor {
-    interval: usize,
+    /// Checkpoint every this many boundaries; `None` means no policy.
+    interval: Option<usize>,
     store: CheckpointStore,
     plan_crashes: Vec<(usize, usize)>,
     active: Vec<usize>,
@@ -250,16 +261,30 @@ impl Supervisor {
     ) -> Self {
         assert!(interval >= 1, "checkpoint interval must be >= 1");
         Supervisor {
-            interval,
+            interval: Some(interval),
             store: store.clone(),
             plan_crashes: comm
                 .fault_plan()
                 .map(|p| p.crashes.clone())
                 .unwrap_or_default(),
+            mode,
+            ..Self::without_policy(comm)
+        }
+    }
+
+    /// A supervisor with no checkpoint policy: [`Supervisor::boundary`]
+    /// returns `None` at once, with no store write and no charge, and
+    /// [`Supervisor::broadcast`] uses the full communicator's
+    /// topology-aware engine.
+    fn without_policy(comm: &ThreadComm) -> Self {
+        Supervisor {
+            interval: None,
+            store: CheckpointStore::new(),
+            plan_crashes: Vec::new(),
             active: (0..comm.size()).collect(),
             last_ckpt: None,
             era: 0,
-            mode,
+            mode: CheckpointMode::Sync,
             prev: None,
             drain_deadline: 0.0,
         }
@@ -319,16 +344,18 @@ impl Supervisor {
     /// [`Recovery`] when ranks died and the driver must roll back.
     ///
     /// `snapshot` produces `(lo, data)` for this rank's shard; it is
-    /// only invoked when a checkpoint is due at this boundary.
+    /// only invoked when a checkpoint is due at this boundary. Without
+    /// a checkpoint policy this does nothing and returns `None`.
     pub fn boundary(
         &mut self,
         comm: &mut ThreadComm,
         step: usize,
         snapshot: impl FnOnce() -> (usize, Vec<f64>),
     ) -> Option<Recovery> {
+        let interval = self.interval?;
         // Checkpoint before the crash point: a rank dying at this
         // boundary still contributes its shard to the recovery pool.
-        if step % self.interval == 0 {
+        if step % interval == 0 {
             let (lo, data) = snapshot();
             let era = self.era;
             match self.mode {
@@ -379,6 +406,19 @@ impl Supervisor {
             from_step: self.last_ckpt,
             records,
         })
+    }
+
+    /// Broadcast `data` from `root` to every active rank. Without a
+    /// checkpoint policy this is [`CollectiveEngine::for_machine`] over
+    /// the full communicator; with one it is [`broadcast_active`] over
+    /// the survivors. Both schedules are pinned by golden makespans.
+    pub fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
+        if self.interval.is_none() {
+            CollectiveEngine::for_machine(comm.machine(), comm.size()).broadcast(comm, root, data);
+        } else {
+            let out = broadcast_active(comm, &self.active, root, data);
+            data.copy_from_slice(&out);
+        }
     }
 
     /// Flat failure-agreement exchange at a crash boundary. Every
@@ -450,6 +490,43 @@ impl Supervisor {
             }
         }
         (0..size).filter(|&r| dead[r]).collect()
+    }
+}
+
+/// Run `body` on `p` ranks, each with its own [`Supervisor`], under an
+/// optional checkpoint policy `(fault plan, interval)`.
+///
+/// Without a policy the run goes through [`run_spmd`] with inert
+/// supervisors, so the body charges exactly what a plain SPMD body
+/// would and `crashed` is empty. With one it goes through
+/// [`run_spmd_ft`], checkpointing synchronously every `interval`
+/// boundaries into a store shared by the run.
+pub fn run_supervised<T, F>(
+    p: usize,
+    machine: Machine,
+    policy: Option<(FaultPlan, usize)>,
+    body: F,
+) -> Result<FtRunOutcome<T>, ClusterError>
+where
+    T: Send,
+    F: Fn(&mut ThreadComm, &mut Supervisor) -> T + Sync,
+{
+    match policy {
+        None => run_spmd(p, machine, |comm| {
+            let mut sup = Supervisor::without_policy(comm);
+            body(comm, &mut sup)
+        })
+        .map(|survivors| FtRunOutcome {
+            survivors,
+            crashed: Vec::new(),
+        }),
+        Some((plan, interval)) => {
+            let store = CheckpointStore::new();
+            run_spmd_ft(p, machine, plan, |comm| {
+                let mut sup = Supervisor::new(comm, interval, &store);
+                body(comm, &mut sup)
+            })
+        }
     }
 }
 
@@ -614,9 +691,6 @@ pub fn gather_active(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
-    use crate::machine::Machine;
-    use crate::thread_comm::{run_spmd, run_spmd_ft};
 
     #[test]
     fn store_keeps_history_and_filters_by_step_and_era() {

@@ -12,7 +12,7 @@
 
 use mdp_cluster::{CheckpointMode, FaultPlan, Machine, TimeModel};
 use mdp_lattice::{
-    cluster::{price_cluster, price_cluster_ft, Decomposition},
+    cluster::{price_cluster, Decomposition},
     BinomialKind, BinomialLattice, LatticeError, LatticePlan, LatticeScratch, MultiLattice,
     TrinomialLattice,
 };
@@ -509,8 +509,10 @@ impl Pricer {
     }
 
     /// Inject a deterministic fault schedule into fault-tolerant
-    /// cluster runs (those with a `checkpoint_interval`). Without one,
-    /// checkpointed runs execute fault-free (checkpoints still written).
+    /// cluster runs (those with a `checkpoint_interval`); with any other
+    /// backend, planning fails with [`PriceError::Unsupported`]. Without
+    /// one, checkpointed runs execute fault-free (checkpoints still
+    /// written).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -576,6 +578,26 @@ impl Pricer {
                 value: maturity,
             }));
         }
+        match self.backend {
+            Backend::Cluster {
+                checkpoint_interval: Some(0),
+                ..
+            } => {
+                return Err(PriceError::Unsupported(
+                    "checkpoint_interval must be >= 1".into(),
+                ))
+            }
+            Backend::Cluster {
+                checkpoint_interval: Some(_),
+                ..
+            } => {}
+            _ if self.fault_plan.is_some() => {
+                return Err(PriceError::Unsupported(
+                    "a fault plan needs Backend::Cluster with a checkpoint_interval".into(),
+                ))
+            }
+            _ => {}
+        }
         let kind = match (&self.method, self.backend) {
             (Method::Fd1d(cfg), Backend::Sequential) => {
                 PlanKind::Fd1d(Box::new(cfg.plan(market, maturity)?), Fd1dScratch::default())
@@ -638,18 +660,19 @@ impl Pricer {
                 self.backend
             )))
         };
-        // The fault schedule for checkpointed cluster runs; absent a
-        // user-supplied plan, a fault-free schedule (checkpoints still
-        // written, so the overhead is observable in the time model).
-        let fault = || self.fault_plan.clone().unwrap_or_else(|| FaultPlan::new(0));
-        let check_interval = |k: usize| {
-            if k == 0 {
-                Err(PriceError::Unsupported(
-                    "checkpoint_interval must be >= 1".into(),
-                ))
-            } else {
-                Ok(k)
-            }
+        // The checkpoint policy of a checkpointed cluster run; absent a
+        // user-supplied fault plan, a fault-free schedule (checkpoints
+        // still written, so the overhead is observable in the time model).
+        // [`Pricer::plan`] has rejected a zero interval.
+        let checkpoint = match self.backend {
+            Backend::Cluster {
+                checkpoint_interval: Some(k),
+                ..
+            } => Some((
+                self.fault_plan.clone().unwrap_or_else(|| FaultPlan::new(0)),
+                k,
+            )),
+            _ => None,
         };
         Ok(match (&self.method, self.backend) {
             (Method::Analytic, Backend::Sequential) => {
@@ -688,38 +711,18 @@ impl Pricer {
                 None,
                 None,
             ),
-            (
-                Method::MultiLattice { steps },
-                Backend::Cluster {
+            (Method::MultiLattice { steps }, Backend::Cluster { ranks, machine, .. }) => {
+                let out = price_cluster(
+                    market,
+                    product,
+                    *steps,
                     ranks,
                     machine,
-                    checkpoint_interval,
-                },
-            ) => match checkpoint_interval {
-                None => {
-                    let out = price_cluster(
-                        market,
-                        product,
-                        *steps,
-                        ranks,
-                        machine,
-                        Decomposition::Block,
-                    )?;
-                    (out.price, None, Some(out.time))
-                }
-                Some(k) => {
-                    let out = price_cluster_ft(
-                        market,
-                        product,
-                        *steps,
-                        ranks,
-                        machine,
-                        fault(),
-                        check_interval(k)?,
-                    )?;
-                    (out.price, None, Some(out.time))
-                }
-            },
+                    Decomposition::Block,
+                    checkpoint,
+                )?;
+                (out.price, None, Some(out.time))
+            }
 
             (Method::MonteCarlo(cfg), Backend::Sequential) => {
                 let r = McEngine::new(*cfg).price(market, product)?;
@@ -729,32 +732,27 @@ impl Pricer {
                 let r = McEngine::new(*cfg).price_rayon(market, product)?;
                 (r.price, Some(r.std_error), None)
             }
-            (
-                Method::MonteCarlo(cfg),
-                Backend::Cluster {
-                    ranks,
-                    machine,
-                    checkpoint_interval,
-                },
-            ) => match checkpoint_interval {
-                None => {
-                    let out = price_mc_cluster(market, product, *cfg, ranks, machine)?;
-                    (out.result.price, Some(out.result.std_error), Some(out.time))
+            (Method::MonteCarlo(cfg), Backend::Cluster { ranks, machine, .. }) => {
+                match checkpoint {
+                    None => {
+                        let out = price_mc_cluster(market, product, *cfg, ranks, machine)?;
+                        (out.result.price, Some(out.result.std_error), Some(out.time))
+                    }
+                    Some((plan, k)) => {
+                        let out = price_mc_cluster_ft(
+                            market,
+                            product,
+                            *cfg,
+                            ranks,
+                            machine,
+                            plan,
+                            MC_FT_BATCHES,
+                            k,
+                        )?;
+                        (out.result.price, Some(out.result.std_error), Some(out.time))
+                    }
                 }
-                Some(k) => {
-                    let out = price_mc_cluster_ft(
-                        market,
-                        product,
-                        *cfg,
-                        ranks,
-                        machine,
-                        fault(),
-                        MC_FT_BATCHES,
-                        check_interval(k)?,
-                    )?;
-                    (out.result.price, Some(out.result.std_error), Some(out.time))
-                }
-            },
+            }
 
             (Method::Qmc(cfg), Backend::Sequential) => {
                 let r = price_qmc(market, product, *cfg)?;
@@ -770,27 +768,20 @@ impl Pricer {
                 let r = price_lsmc_rayon(market, product, *cfg)?;
                 (r.price, Some(r.std_error), None)
             }
-            (
-                Method::Lsmc(cfg),
-                Backend::Cluster {
-                    ranks,
-                    machine,
-                    checkpoint_interval,
-                },
-            ) => match checkpoint_interval {
+            (Method::Lsmc(cfg), Backend::Cluster { ranks, machine, .. }) => match checkpoint {
                 None => {
                     let out = price_lsmc_cluster(market, product, *cfg, ranks, machine)?;
                     (out.result.price, Some(out.result.std_error), Some(out.time))
                 }
-                Some(k) => {
+                Some((plan, k)) => {
                     let out = price_lsmc_cluster_ft(
                         market,
                         product,
                         *cfg,
                         ranks,
                         machine,
-                        fault(),
-                        check_interval(k)?,
+                        plan,
+                        k,
                         CheckpointMode::AsyncIncremental,
                     )?;
                     (out.result.price, Some(out.result.std_error), Some(out.time))
@@ -800,14 +791,7 @@ impl Pricer {
             (Method::Fd1d(cfg), Backend::Sequential) => {
                 (cfg.price(market, product)?.price, None, None)
             }
-            (
-                Method::Fd1d(cfg),
-                Backend::Cluster {
-                    ranks,
-                    machine,
-                    checkpoint_interval,
-                },
-            ) => {
+            (Method::Fd1d(cfg), Backend::Cluster { ranks, machine, .. }) => {
                 if cfg.scheme != Scheme::Explicit {
                     return Err(PriceError::Unsupported(
                         "the distributed FD driver runs the explicit scheme only; \
@@ -820,23 +804,8 @@ impl Pricer {
                     time_steps: cfg.time_steps,
                     width: cfg.width,
                 };
-                match checkpoint_interval {
-                    None => {
-                        let out = cl.price(market, product, ranks, machine)?;
-                        (out.price, None, Some(out.time))
-                    }
-                    Some(k) => {
-                        let out = cl.price_ft(
-                            market,
-                            product,
-                            ranks,
-                            machine,
-                            fault(),
-                            check_interval(k)?,
-                        )?;
-                        (out.price, None, Some(out.time))
-                    }
-                }
+                let out = cl.price(market, product, ranks, machine, checkpoint)?;
+                (out.price, None, Some(out.time))
             }
             (Method::Fd1d(_), _) => return unsupported_backend(),
 

@@ -28,13 +28,15 @@
 //! derives the full communication pattern locally — no coordination
 //! messages, exactly like the static decompositions of the era's MPI
 //! codes.
+//!
+//! One SPMD body serves the fault-free and the checkpointed run: it
+//! partitions over [`Supervisor::active`] (all `p` ranks until a crash)
+//! and leaves the checkpoint policy to [`run_supervised`].
 
 use crate::multidim::{branch_probabilities, StepCtx, StepScratch};
 use crate::LatticeError;
-use mdp_cluster::checkpoint::broadcast_active;
 use mdp_cluster::{
-    partition, run_spmd_ft, CheckpointStore, CollectiveEngine, Communicator, FaultPlan, Machine,
-    Supervisor, ThreadComm, TimeModel,
+    partition, run_supervised, Communicator, FaultPlan, Machine, Supervisor, ThreadComm, TimeModel,
 };
 use mdp_model::{GbmMarket, Product};
 
@@ -51,7 +53,8 @@ pub enum Decomposition {
 }
 
 impl Decomposition {
-    /// Rows of a `rows`-row grid owned by `rank` (sorted ascending).
+    /// Rows of a `rows`-row grid owned by the rank at index `rank` of
+    /// a `p`-rank active set (sorted ascending).
     fn owned(self, rows: usize, p: usize, rank: usize) -> Vec<usize> {
         match self {
             Decomposition::Block => {
@@ -72,10 +75,13 @@ fn node_work(d: usize) -> f64 {
 /// Per-run outcome of the distributed lattice.
 #[derive(Debug, Clone)]
 pub struct ClusterLatticeOutcome {
-    /// Present value (identical on every rank; cross-checked).
+    /// Present value (identical on every surviving rank; cross-checked).
     pub price: f64,
-    /// Aggregated virtual-time model of the run.
+    /// Aggregated virtual-time model, crashed ranks' time included.
     pub time: TimeModel,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs; empty
+    /// without a checkpoint policy.
+    pub crashed: Vec<(usize, usize)>,
 }
 
 /// Price a product on `p` ranks under `machine`, decomposing the lattice
@@ -84,6 +90,16 @@ pub struct ClusterLatticeOutcome {
 /// The result is bit-identical to [`crate::MultiLattice::price`] — the parallel
 /// algorithm only re-partitions the same floating-point operations in
 /// the same order within each row.
+///
+/// `checkpoint` is an optional `(fault plan, interval)` policy: the run
+/// goes under the [`FaultPlan`], writing a coordinated checkpoint of
+/// every rank's owned rows each `interval` time steps. When a rank
+/// crashes, survivors agree on the death, repartition the checkpointed
+/// layer over the shrunken rank set and replay from the last
+/// checkpoint; the price stays bit-identical to the fault-free run
+/// (same per-row arithmetic, only ownership changes). Checkpointing
+/// needs [`Decomposition::Block`], because recovery repartitions with
+/// the block arithmetic used at start.
 pub fn price_cluster(
     market: &GbmMarket,
     product: &Product,
@@ -91,7 +107,14 @@ pub fn price_cluster(
     p: usize,
     machine: Machine,
     decomp: Decomposition,
+    checkpoint: Option<(FaultPlan, usize)>,
 ) -> Result<ClusterLatticeOutcome, LatticeError> {
+    let unsupported = |why: String| {
+        LatticeError::Model(mdp_model::ModelError::Unsupported {
+            engine: "BEG cluster lattice",
+            why,
+        })
+    };
     // Validate once up front so parameter errors surface as LatticeError
     // rather than rank panics.
     product.validate_for(market)?;
@@ -99,39 +122,46 @@ pub fn price_cluster(
         return Err(LatticeError::ZeroSteps);
     }
     if product.payoff.is_path_dependent() {
-        return Err(LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: "path-dependent payoff".into(),
-        }));
+        return Err(unsupported("path-dependent payoff".into()));
+    }
+    if checkpoint.is_some() && decomp != Decomposition::Block {
+        return Err(unsupported(
+            "checkpoint recovery repartitions by block arithmetic; use Decomposition::Block".into(),
+        ));
     }
     let dt = product.maturity / steps as f64;
     let probs = branch_probabilities(market, dt)?;
     let disc = (-market.rate() * dt).exp();
     let d = market.dim();
 
-    let results = mdp_cluster::run_spmd(p, machine, |comm| {
-        run_rank(comm, market, product, steps, &probs, disc, d, decomp)
+    let outcome = run_supervised(p, machine, checkpoint, |comm, sup| {
+        run_rank(comm, sup, market, product, steps, &probs, disc, d, decomp)
     })
-    .map_err(|e| {
-        LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: e.to_string(),
-        })
-    })?;
+    .map_err(|e| unsupported(e.to_string()))?;
 
-    let price = results[0].value;
+    let price = outcome.survivors[0].value;
     debug_assert!(
-        results.iter().all(|r| r.value.to_bits() == price.to_bits()),
-        "broadcast must make the price identical on every rank"
+        outcome
+            .survivors
+            .iter()
+            .all(|r| r.value.to_bits() == price.to_bits()),
+        "broadcast must make the price identical on every survivor"
     );
-    let time = TimeModel::from_results(&results);
-    Ok(ClusterLatticeOutcome { price, time })
+    Ok(ClusterLatticeOutcome {
+        price,
+        time: outcome.time_model(),
+        crashed: outcome.crash_sites(),
+    })
 }
 
-/// The SPMD body: one rank's share of the backward induction.
+/// The SPMD body: one rank's share of the backward induction, over the
+/// supervisor's active ranks. Boundary `k` precedes lattice step
+/// `n-1-k`, so `k` counts completed steps and grows monotonically —
+/// the ascending index [`Supervisor::boundary`] expects.
 #[allow(clippy::too_many_arguments)]
-fn run_rank<C: Communicator>(
-    comm: &mut C,
+fn run_rank(
+    comm: &mut ThreadComm,
+    sup: &mut Supervisor,
     market: &GbmMarket,
     product: &Product,
     steps: usize,
@@ -140,9 +170,10 @@ fn run_rank<C: Communicator>(
     d: usize,
     decomp: Decomposition,
 ) -> f64 {
-    let p = comm.size();
-    let rank = comm.rank();
     let n = steps;
+    let rank = comm.rank();
+    // This rank's position in the active list; moves only on recovery.
+    let mut me = sup.dense_index(rank);
 
     // Per-rank buffers, allocated once and reused every time step.
     let mut scratch = StepScratch::new();
@@ -153,49 +184,75 @@ fn run_rank<C: Communicator>(
 
     // Terminal layer: evaluate owned rows.
     let term_ctx = StepCtx::new(market, product, n, n, probs, disc);
-    let row_len_term = term_ctx.row_cur();
-    let mut owned_next: Vec<usize> = decomp.owned(n + 1, p, rank);
-    let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_term];
+    let mut row_len_next = term_ctx.row_cur();
+    let mut owned_next = decomp.owned(n + 1, sup.active().len(), me);
+    let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_next];
     for (slot, &j0) in owned_next.iter().enumerate() {
         term_ctx.eval_terminal_slab(
             j0,
-            &mut values[slot * row_len_term..(slot + 1) * row_len_term],
+            &mut values[slot * row_len_next..(slot + 1) * row_len_next],
             &mut scratch,
         );
     }
     comm.compute_units(values.len() as f64 * (d as f64 + 2.0));
 
-    let mut row_len_next = row_len_term;
-    for step in (0..n).rev() {
+    let mut k = 0usize; // completed lattice steps == boundary index
+    while k < n {
+        let snap_lo = owned_next.first().copied().unwrap_or(0);
+        if let Some(rec) = sup.boundary(comm, k, || (snap_lo, values.clone())) {
+            // Roll back: rebuild the checkpointed layer from the pooled
+            // records and repartition it over the survivors.
+            let k0 = rec.from_step.expect("boundary 0 always checkpoints");
+            let layer_rows = n - k0 + 1;
+            let layer_ctx = StepCtx::new(market, product, n, n - k0, probs, disc);
+            let row_len = layer_ctx.row_cur();
+            let mut full = vec![0.0; layer_rows * row_len];
+            for (_, r) in &rec.records {
+                full[r.lo * row_len..r.lo * row_len + r.data.len()].copy_from_slice(&r.data);
+            }
+            me = sup.dense_index(rank);
+            owned_next = decomp.owned(layer_rows, sup.active().len(), me);
+            let lo = owned_next.first().copied().unwrap_or(0);
+            values = full[lo * row_len..lo * row_len + owned_next.len() * row_len].to_vec();
+            row_len_next = row_len;
+            k = k0;
+            continue; // re-enter boundary k0: it checkpoints a fresh era
+        }
+
+        let step = n - 1 - k;
+        let active = sup.active();
+        let a = active.len();
         let ctx = StepCtx::new(market, product, n, step, probs, disc);
         let row_cur = ctx.row_cur();
         let row_next = ctx.row_next;
         debug_assert_eq!(row_next, row_len_next);
         let next_rows_total = step + 2;
 
-        let owned_cur = decomp.owned(step + 1, p, rank);
+        let owned_cur = decomp.owned(step + 1, a, me);
         // Rows of the next grid this rank needs: children of owned rows.
         let needed = needed_rows(&owned_cur, next_rows_total);
 
         // --- Post the halo sends -------------------------------------------
         // For each candidate peer, the intersection of their needs with
-        // my owned rows. Under Block decomposition the candidates are an
-        // O(1) arithmetic range; Cyclic scans all peers. Sends are
+        // my owned rows. Peers are dense indices into the active list.
+        // Under Block decomposition the candidates are an O(1)
+        // arithmetic range; Cyclic scans all peers. Sends are
         // asynchronous: they are in flight while the interior sweep
         // below runs.
         let send_peers = match decomp {
             Decomposition::Block => {
                 let lo_n = owned_next.first().copied().unwrap_or(0);
                 let hi_n = owned_next.last().map_or(0, |&x| x + 1);
-                send_candidates(lo_n, hi_n, step + 1, p)
+                send_candidates(lo_n, hi_n, step + 1, a)
             }
-            Decomposition::Cyclic(_) => 0..p,
+            Decomposition::Cyclic(_) => 0..a,
         };
-        for r in send_peers {
+        for j in send_peers {
+            let r = active[j];
             if r == rank {
                 continue;
             }
-            let their_cur = decomp.owned(step + 1, p, r);
+            let their_cur = decomp.owned(step + 1, a, j);
             let their_needed = needed_rows(&their_cur, next_rows_total);
             let send_rows = intersect(&their_needed, &owned_next);
             if send_rows.is_empty() {
@@ -231,11 +288,11 @@ fn run_rank<C: Communicator>(
         two_rows.resize(2 * row_next, 0.0);
         let child_is_local = |row: usize| owned_next.binary_search(&row).is_ok();
         let sweep = |j0: usize,
-                         slot: usize,
-                         window: &[f64],
-                         spare: &mut [f64],
-                         two_rows: &mut [f64],
-                         scratch: &mut StepScratch| {
+                     slot: usize,
+                     window: &[f64],
+                     spare: &mut [f64],
+                     two_rows: &mut [f64],
+                     scratch: &mut StepScratch| {
             let w0 = slot_of(&needed, j0);
             let w1 = slot_of(&needed, j0 + 1);
             // The two rows are contiguous in the window for block
@@ -260,24 +317,25 @@ fn run_rank<C: Communicator>(
 
         // --- Complete the halo exchange ------------------------------------
         let recv_peers = match decomp {
-            Decomposition::Block => recv_candidates(&needed, step + 2, p),
-            Decomposition::Cyclic(_) => 0..p,
+            Decomposition::Block => recv_candidates(&needed, step + 2, a),
+            Decomposition::Cyclic(_) => 0..a,
         };
-        for r in recv_peers {
+        for j in recv_peers {
+            let r = active[j];
             if r == rank {
                 continue;
             }
-            let their_owned_next = decomp.owned(step + 2, p, r);
+            let their_owned_next = decomp.owned(step + 2, a, j);
             let recv_rows = intersect(&needed, &their_owned_next);
             if recv_rows.is_empty() {
                 continue;
             }
             let buf = comm.recv(r, T_HALO);
             debug_assert_eq!(buf.len(), recv_rows.len() * row_next);
-            for (k, &row) in recv_rows.iter().enumerate() {
+            for (m, &row) in recv_rows.iter().enumerate() {
                 let wslot = slot_of(&needed, row);
                 window[wslot * row_next..(wslot + 1) * row_next]
-                    .copy_from_slice(&buf[k * row_next..(k + 1) * row_next]);
+                    .copy_from_slice(&buf[m * row_next..(m + 1) * row_next]);
             }
         }
 
@@ -294,309 +352,15 @@ fn run_rank<C: Communicator>(
         std::mem::swap(&mut values, &mut spare);
         owned_next = owned_cur;
         row_len_next = row_cur;
-    }
-
-    // Step 0 has one row, one node; its owner broadcasts the price
-    // through the topology-aware engine (bitwise-identical to the flat
-    // broadcast — only the schedule depends on the machine).
-    let root = owner_of_row0(decomp, p);
-    let engine = CollectiveEngine::for_machine(comm.machine(), p);
-    let mut price = [if rank == root { values[0] } else { 0.0 }];
-    engine.broadcast(comm, root, &mut price);
-    price[0]
-}
-
-/// Per-run outcome of the fault-tolerant distributed lattice.
-#[derive(Debug, Clone)]
-pub struct ClusterLatticeFtOutcome {
-    /// Present value — bit-identical to the fault-free run.
-    pub price: f64,
-    /// Aggregated virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
-}
-
-/// Fault-tolerant variant of [`price_cluster`]: runs under a
-/// [`FaultPlan`], writing a coordinated checkpoint of every rank's
-/// owned rows each `ckpt_interval` time steps. When a rank crashes,
-/// survivors agree on the death, repartition the checkpointed layer
-/// over the shrunken rank set and replay from the last checkpoint; the
-/// final price is bit-identical to the fault-free run (same per-row
-/// arithmetic, only ownership changes). Block decomposition only —
-/// recovery repartitions with the same block arithmetic used at start.
-pub fn price_cluster_ft(
-    market: &GbmMarket,
-    product: &Product,
-    steps: usize,
-    p: usize,
-    machine: Machine,
-    plan: FaultPlan,
-    ckpt_interval: usize,
-) -> Result<ClusterLatticeFtOutcome, LatticeError> {
-    product.validate_for(market)?;
-    if steps == 0 {
-        return Err(LatticeError::ZeroSteps);
-    }
-    if product.payoff.is_path_dependent() {
-        return Err(LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: "path-dependent payoff".into(),
-        }));
-    }
-    let dt = product.maturity / steps as f64;
-    let probs = branch_probabilities(market, dt)?;
-    let disc = (-market.rate() * dt).exp();
-    let d = market.dim();
-    let store = CheckpointStore::new();
-
-    let outcome = run_spmd_ft(p, machine, plan, |comm| {
-        run_rank_ft(
-            comm,
-            market,
-            product,
-            steps,
-            &probs,
-            disc,
-            d,
-            &store,
-            ckpt_interval,
-        )
-    })
-    .map_err(|e| {
-        LatticeError::Model(mdp_model::ModelError::Unsupported {
-            engine: "BEG cluster lattice",
-            why: e.to_string(),
-        })
-    })?;
-
-    let price = outcome.survivors[0].value;
-    debug_assert!(
-        outcome
-            .survivors
-            .iter()
-            .all(|r| r.value.to_bits() == price.to_bits()),
-        "broadcast must make the price identical on every survivor"
-    );
-    let mut time = TimeModel::from_results(&outcome.survivors);
-    for c in &outcome.crashed {
-        time.absorb_crashed(c.time, &c.stats);
-    }
-    Ok(ClusterLatticeFtOutcome {
-        price,
-        time,
-        crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
-    })
-}
-
-/// The fault-tolerant SPMD body. Boundary `k` precedes lattice step
-/// `n-1-k`, so `k` counts completed steps and grows monotonically —
-/// the ascending index [`Supervisor::boundary`] expects. The step body
-/// is the same halo-exchange sweep as [`run_rank`], generalised from
-/// "all `p` ranks" to the supervisor's active list.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_ft(
-    comm: &mut ThreadComm,
-    market: &GbmMarket,
-    product: &Product,
-    steps: usize,
-    probs: &[f64],
-    disc: f64,
-    d: usize,
-    store: &CheckpointStore,
-    interval: usize,
-) -> f64 {
-    let n = steps;
-    let rank = comm.rank();
-    let mut sup = Supervisor::new(comm, interval, store);
-
-    let mut scratch = StepScratch::new();
-    let mut window: Vec<f64> = Vec::new();
-    let mut two_rows: Vec<f64> = Vec::new();
-    let mut send_buf: Vec<f64> = Vec::new();
-    let mut spare: Vec<f64> = Vec::new();
-
-    // Owned rows of a `rows`-row layer for dense index `i` of an
-    // `a`-rank active set.
-    let owned_of = |rows: usize, a: usize, i: usize| -> Vec<usize> {
-        let (lo, hi) = partition::block_range(rows, a, i);
-        (lo..hi).collect()
-    };
-
-    // Terminal layer over the (initially full) active set.
-    let term_ctx = StepCtx::new(market, product, n, n, probs, disc);
-    let mut row_len_next = term_ctx.row_cur();
-    let mut owned_next = owned_of(n + 1, sup.active().len(), sup.dense_index(rank));
-    let mut values: Vec<f64> = vec![0.0; owned_next.len() * row_len_next];
-    for (slot, &j0) in owned_next.iter().enumerate() {
-        term_ctx.eval_terminal_slab(
-            j0,
-            &mut values[slot * row_len_next..(slot + 1) * row_len_next],
-            &mut scratch,
-        );
-    }
-    comm.compute_units(values.len() as f64 * (d as f64 + 2.0));
-
-    let mut k = 0usize; // completed lattice steps == boundary index
-    while k < n {
-        let snap_lo = owned_next.first().copied().unwrap_or(0);
-        if let Some(rec) = sup.boundary(comm, k, || (snap_lo, values.clone())) {
-            // Roll back: rebuild the checkpointed layer from the pooled
-            // records and repartition it over the survivors.
-            let k0 = rec.from_step.expect("boundary 0 always checkpoints");
-            let layer_rows = n - k0 + 1;
-            let layer_ctx = StepCtx::new(market, product, n, n - k0, probs, disc);
-            let row_len = layer_ctx.row_cur();
-            let mut full = vec![0.0; layer_rows * row_len];
-            for (_, r) in &rec.records {
-                full[r.lo * row_len..r.lo * row_len + r.data.len()].copy_from_slice(&r.data);
-            }
-            owned_next = owned_of(layer_rows, sup.active().len(), sup.dense_index(rank));
-            let lo = owned_next.first().copied().unwrap_or(0);
-            values = full[lo * row_len..lo * row_len + owned_next.len() * row_len].to_vec();
-            row_len_next = row_len;
-            k = k0;
-            continue; // re-enter boundary k0: it checkpoints a fresh era
-        }
-
-        let step = n - 1 - k;
-        let active = sup.active().to_vec();
-        let a = active.len();
-        let ctx = StepCtx::new(market, product, n, step, probs, disc);
-        let row_cur = ctx.row_cur();
-        let row_next = ctx.row_next;
-        debug_assert_eq!(row_next, row_len_next);
-        let next_rows_total = step + 2;
-
-        let owned_cur = owned_of(step + 1, a, sup.dense_index(rank));
-        let needed = needed_rows(&owned_cur, next_rows_total);
-
-        // --- Post the halo sends (peers drawn from the active list) --------
-        // The active set always uses Block decomposition, so the
-        // candidate dense indices are an O(1) arithmetic range.
-        let send_peers = {
-            let lo_n = owned_next.first().copied().unwrap_or(0);
-            let hi_n = owned_next.last().map_or(0, |&x| x + 1);
-            send_candidates(lo_n, hi_n, step + 1, a)
-        };
-        for j in send_peers {
-            let r = active[j];
-            if r == rank {
-                continue;
-            }
-            let their_cur = owned_of(step + 1, a, j);
-            let their_needed = needed_rows(&their_cur, next_rows_total);
-            let send_rows = intersect(&their_needed, &owned_next);
-            if send_rows.is_empty() {
-                continue;
-            }
-            send_buf.clear();
-            send_buf.reserve(send_rows.len() * row_next);
-            for &row in &send_rows {
-                let slot = slot_of(&owned_next, row);
-                send_buf.extend_from_slice(&values[slot * row_next..(slot + 1) * row_next]);
-            }
-            comm.send(r, T_HALO, &send_buf);
-        }
-
-        // Stage the locally owned part of the needed window.
-        window.clear();
-        window.resize(needed.len() * row_next, 0.0);
-        for (wslot, &row) in needed.iter().enumerate() {
-            if let Ok(slot) = owned_next.binary_search(&row) {
-                window[wslot * row_next..(wslot + 1) * row_next]
-                    .copy_from_slice(&values[slot * row_next..(slot + 1) * row_next]);
-            }
-        }
-
-        // --- Interior sweep (overlapped with the halo exchange) ------------
-        spare.clear();
-        spare.resize(owned_cur.len() * row_cur, 0.0);
-        two_rows.clear();
-        two_rows.resize(2 * row_next, 0.0);
-        let child_is_local = |row: usize| owned_next.binary_search(&row).is_ok();
-        let sweep = |j0: usize,
-                     slot: usize,
-                     window: &[f64],
-                     spare: &mut [f64],
-                     two_rows: &mut [f64],
-                     scratch: &mut StepScratch| {
-            let w0 = slot_of(&needed, j0);
-            let w1 = slot_of(&needed, j0 + 1);
-            two_rows[..row_next].copy_from_slice(&window[w0 * row_next..(w0 + 1) * row_next]);
-            two_rows[row_next..].copy_from_slice(&window[w1 * row_next..(w1 + 1) * row_next]);
-            ctx.compute_slab(
-                j0,
-                two_rows,
-                &mut spare[slot * row_cur..(slot + 1) * row_cur],
-                scratch,
-            );
-        };
-        let mut interior_nodes = 0u64;
-        for (slot, &j0) in owned_cur.iter().enumerate() {
-            if child_is_local(j0) && child_is_local(j0 + 1) {
-                sweep(j0, slot, &window, &mut spare, &mut two_rows, &mut scratch);
-                interior_nodes += row_cur as u64;
-            }
-        }
-        comm.compute_units(interior_nodes as f64 * node_work(d));
-
-        // --- Complete the halo exchange ------------------------------------
-        for j in recv_candidates(&needed, step + 2, a) {
-            let r = active[j];
-            if r == rank {
-                continue;
-            }
-            let their_owned_next = owned_of(step + 2, a, j);
-            let recv_rows = intersect(&needed, &their_owned_next);
-            if recv_rows.is_empty() {
-                continue;
-            }
-            let buf = comm.recv(r, T_HALO);
-            debug_assert_eq!(buf.len(), recv_rows.len() * row_next);
-            for (m, &row) in recv_rows.iter().enumerate() {
-                let wslot = slot_of(&needed, row);
-                window[wslot * row_next..(wslot + 1) * row_next]
-                    .copy_from_slice(&buf[m * row_next..(m + 1) * row_next]);
-            }
-        }
-
-        // --- Boundary sweep ------------------------------------------------
-        let mut boundary_nodes = 0u64;
-        for (slot, &j0) in owned_cur.iter().enumerate() {
-            if !(child_is_local(j0) && child_is_local(j0 + 1)) {
-                sweep(j0, slot, &window, &mut spare, &mut two_rows, &mut scratch);
-                boundary_nodes += row_cur as u64;
-            }
-        }
-        comm.compute_units(boundary_nodes as f64 * node_work(d));
-
-        std::mem::swap(&mut values, &mut spare);
-        owned_next = owned_cur;
-        row_len_next = row_cur;
         k += 1;
     }
 
-    // Step 0 has one row, owned by the first active rank.
-    let active = sup.active().to_vec();
-    let root = active[0];
-    let price = if rank == root {
-        vec![values[0]]
-    } else {
-        vec![0.0]
-    };
-    broadcast_active(comm, &active, root, &price)[0]
-}
-
-/// The rank owning row 0 of a 1-row grid under the decomposition.
-fn owner_of_row0(decomp: Decomposition, p: usize) -> usize {
-    match decomp {
-        // Block ownership is pure arithmetic — no O(p) scan.
-        Decomposition::Block => partition::block_owner(1, p, 0),
-        Decomposition::Cyclic(_) => (0..p)
-            .find(|&r| decomp.owned(1, p, r).first() == Some(&0))
-            .expect("some rank owns row 0"),
-    }
+    // Step 0 has one row, owned by the first active rank under both
+    // decompositions; it broadcasts the price.
+    let root = sup.active()[0];
+    let mut price = [if rank == root { values[0] } else { 0.0 }];
+    sup.broadcast(comm, root, &mut price);
+    price[0]
 }
 
 /// Candidate peer range for the halo *send* scan: under Block
@@ -689,8 +453,16 @@ mod tests {
         let prod = maxcall();
         let seq = MultiLattice::new(32).price(&m, &prod).unwrap();
         for p in [1usize, 2, 3, 4, 7] {
-            let par =
-                price_cluster(&m, &prod, 32, p, Machine::ideal(), Decomposition::Block).unwrap();
+            let par = price_cluster(
+                &m,
+                &prod,
+                32,
+                p,
+                Machine::ideal(),
+                Decomposition::Block,
+                None,
+            )
+            .unwrap();
             assert_eq!(
                 par.price.to_bits(),
                 seq.price.to_bits(),
@@ -707,8 +479,16 @@ mod tests {
         let prod = maxcall();
         let seq = MultiLattice::new(24).price(&m, &prod).unwrap();
         for b in [1usize, 2, 4] {
-            let par = price_cluster(&m, &prod, 24, 3, Machine::ideal(), Decomposition::Cyclic(b))
-                .unwrap();
+            let par = price_cluster(
+                &m,
+                &prod,
+                24,
+                3,
+                Machine::ideal(),
+                Decomposition::Cyclic(b),
+                None,
+            )
+            .unwrap();
             assert_eq!(par.price.to_bits(), seq.price.to_bits(), "b={b}");
         }
     }
@@ -725,6 +505,7 @@ mod tests {
             4,
             Machine::cluster2002(),
             Decomposition::Block,
+            None,
         )
         .unwrap();
         assert_eq!(par.price.to_bits(), seq.price.to_bits());
@@ -735,7 +516,16 @@ mod tests {
         let m = market2();
         let prod = maxcall();
         let seq = MultiLattice::new(4).price(&m, &prod).unwrap();
-        let par = price_cluster(&m, &prod, 4, 8, Machine::ideal(), Decomposition::Block).unwrap();
+        let par = price_cluster(
+            &m,
+            &prod,
+            4,
+            8,
+            Machine::ideal(),
+            Decomposition::Block,
+            None,
+        )
+        .unwrap();
         assert_eq!(par.price.to_bits(), seq.price.to_bits());
     }
 
@@ -749,6 +539,7 @@ mod tests {
             1,
             Machine::cluster2002(),
             Decomposition::Block,
+            None,
         )
         .unwrap();
         assert_eq!(out.time.total_msgs, 0);
@@ -771,6 +562,7 @@ mod tests {
                 1,
                 Machine::cluster2002(),
                 Decomposition::Block,
+                None,
             )
             .unwrap()
             .time
@@ -782,6 +574,7 @@ mod tests {
                 p,
                 Machine::cluster2002(),
                 Decomposition::Block,
+                None,
             )
             .unwrap()
             .time
@@ -809,6 +602,7 @@ mod tests {
             4,
             Machine::cluster2002(),
             Decomposition::Block,
+            None,
         )
         .unwrap();
         let cyclic = price_cluster(
@@ -818,6 +612,7 @@ mod tests {
             4,
             Machine::cluster2002(),
             Decomposition::Cyclic(1),
+            None,
         )
         .unwrap();
         // Cyclic(1) batches its halo rows into one message per neighbour,
@@ -845,6 +640,7 @@ mod tests {
             2,
             Machine::ideal(),
             Decomposition::Block,
+            None,
         )
         .unwrap();
         assert!(out.time.mean_compute > 0.0);
@@ -860,32 +656,74 @@ mod tests {
     fn rejects_bad_inputs() {
         let m = market2();
         assert!(matches!(
-            price_cluster(&m, &maxcall(), 0, 2, Machine::ideal(), Decomposition::Block),
+            price_cluster(
+                &m,
+                &maxcall(),
+                0,
+                2,
+                Machine::ideal(),
+                Decomposition::Block,
+                None
+            ),
             Err(LatticeError::ZeroSteps)
         ));
         let asian = Product::european(Payoff::AsianCall { strike: 1.0 }, 1.0);
-        assert!(price_cluster(&m, &asian, 8, 2, Machine::ideal(), Decomposition::Block).is_err());
+        assert!(price_cluster(
+            &m,
+            &asian,
+            8,
+            2,
+            Machine::ideal(),
+            Decomposition::Block,
+            None
+        )
+        .is_err());
+        let ckpt = Some((mdp_cluster::FaultPlan::new(0), 4));
+        assert!(matches!(
+            price_cluster(
+                &m,
+                &maxcall(),
+                8,
+                2,
+                Machine::ideal(),
+                Decomposition::Cyclic(1),
+                ckpt
+            ),
+            Err(LatticeError::Model(
+                mdp_model::ModelError::Unsupported { .. }
+            ))
+        ));
     }
 
     #[test]
     fn ft_without_faults_matches_plain_run_bitwise() {
         let m = market2();
         let prod = maxcall();
-        let plain =
-            price_cluster(&m, &prod, 32, 4, Machine::cluster2002(), Decomposition::Block).unwrap();
-        let ft = price_cluster_ft(
+        let plain = price_cluster(
             &m,
             &prod,
             32,
             4,
             Machine::cluster2002(),
-            mdp_cluster::FaultPlan::new(1),
-            8,
+            Decomposition::Block,
+            None,
+        )
+        .unwrap();
+        let ft = price_cluster(
+            &m,
+            &prod,
+            32,
+            4,
+            Machine::cluster2002(),
+            Decomposition::Block,
+            Some((mdp_cluster::FaultPlan::new(1), 8)),
         )
         .unwrap();
         assert_eq!(ft.price.to_bits(), plain.price.to_bits());
         assert!(ft.crashed.is_empty());
         assert!(ft.time.total_ckpt_time > 0.0, "checkpoints were written");
+        assert!(plain.crashed.is_empty());
+        assert_eq!(plain.time.total_ckpt_time, 0.0, "no policy, no checkpoints");
     }
 
     #[test]
@@ -895,8 +733,16 @@ mod tests {
         let seq = crate::multidim::MultiLattice::new(32).price(&m, &prod).unwrap();
         for crash_at in [1usize, 10, 29] {
             let plan = mdp_cluster::FaultPlan::new(7).with_crash(1, crash_at);
-            let ft =
-                price_cluster_ft(&m, &prod, 32, 4, Machine::cluster2002(), plan, 4).unwrap();
+            let ft = price_cluster(
+                &m,
+                &prod,
+                32,
+                4,
+                Machine::cluster2002(),
+                Decomposition::Block,
+                Some((plan, 4)),
+            )
+            .unwrap();
             assert_eq!(
                 ft.price.to_bits(),
                 seq.price.to_bits(),
@@ -914,7 +760,16 @@ mod tests {
         let plan = mdp_cluster::FaultPlan::new(3)
             .with_crash(3, 5)
             .with_crash(0, 15);
-        let ft = price_cluster_ft(&m, &prod, 24, 4, Machine::cluster2002(), plan, 3).unwrap();
+        let ft = price_cluster(
+            &m,
+            &prod,
+            24,
+            4,
+            Machine::cluster2002(),
+            Decomposition::Block,
+            Some((plan, 3)),
+        )
+        .unwrap();
         assert_eq!(ft.price.to_bits(), seq.price.to_bits());
         assert_eq!(ft.crashed.len(), 2);
     }
@@ -926,7 +781,16 @@ mod tests {
         let plan = mdp_cluster::FaultPlan::new(0)
             .with_crash(0, 2)
             .with_crash(1, 2);
-        let err = price_cluster_ft(&m, &prod, 16, 2, Machine::ideal(), plan, 4).unwrap_err();
+        let err = price_cluster(
+            &m,
+            &prod,
+            16,
+            2,
+            Machine::ideal(),
+            Decomposition::Block,
+            Some((plan, 4)),
+        )
+        .unwrap_err();
         assert!(
             err.to_string().contains("injected crash"),
             "unexpected error: {err}"
@@ -939,8 +803,9 @@ mod tests {
         assert_eq!(needed_rows(&[4], 5), vec![4]);
         assert_eq!(needed_rows(&[0, 2], 5), vec![0, 1, 2, 3]);
         assert_eq!(intersect(&[1, 3, 5], &[2, 3, 5, 7]), vec![3, 5]);
-        assert_eq!(owner_of_row0(Decomposition::Block, 4), 0);
-        assert_eq!(owner_of_row0(Decomposition::Cyclic(2), 4), 0);
+        // The broadcast root is the first active rank: it owns row 0.
+        assert_eq!(Decomposition::Block.owned(1, 4, 0), vec![0]);
+        assert_eq!(Decomposition::Cyclic(2).owned(1, 4, 0), vec![0]);
     }
 
     #[test]

@@ -67,6 +67,7 @@ proptest! {
             ranks,
             Machine::ideal(),
             Decomposition::Block,
+            None,
         )
         .unwrap();
         prop_assert_eq!(seq.price.to_bits(), block.price.to_bits());
@@ -78,6 +79,7 @@ proptest! {
             ranks,
             Machine::ideal(),
             Decomposition::Cyclic(1),
+            None,
         )
         .unwrap();
         prop_assert_eq!(seq.price.to_bits(), cyclic.price.to_bits());

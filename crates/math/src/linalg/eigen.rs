@@ -202,7 +202,8 @@ mod tests {
         let e = symmetric_eigen(&a).unwrap();
         let trace: f64 = (0..3).map(|i| a[(i, i)]).sum();
         assert!(approx_eq(e.values.iter().sum::<f64>(), trace, 1e-12));
-        let det = crate::linalg::Lu::factor(&a).unwrap().det();
+        // SPD, so det = ∏ L_ii² from the Cholesky factor.
+        let det = crate::linalg::Cholesky::factor(&a).unwrap().det();
         assert!(approx_eq(e.values.iter().product::<f64>(), det, 1e-10));
     }
 

@@ -1,14 +1,14 @@
 //! Small dense and banded linear algebra.
 //!
-//! The pricing engines need exactly four solvers, all on matrices whose
+//! The pricing engines need three kinds of solver, on matrices whose
 //! dimension is the number of assets (≤ ~20) or regression basis size
 //! (≤ ~50), plus tridiagonal systems of grid size for the PDE engines:
 //!
 //! * [`Cholesky`] — correlation-matrix factorisation for correlated
-//!   Gaussian sampling (every Monte Carlo path starts here).
-//! * [`Lu`] — general square solves and determinants.
-//! * [`Qr`] — least squares for the Longstaff–Schwartz regression, where
-//!   normal equations would be dangerously ill-conditioned.
+//!   Gaussian sampling (every Monte Carlo path starts here), and the
+//!   solver of the Longstaff–Schwartz regression's normal equations.
+//! * [`symmetric_eigen`] — Jacobi eigendecomposition, used to repair an
+//!   indefinite correlation matrix ([`nearest_correlation`]).
 //! * [`tridiag`] — Thomas and parallel cyclic-reduction tridiagonal
 //!   solvers for Crank–Nicolson/ADI time stepping.
 //!
@@ -18,14 +18,10 @@
 
 mod cholesky;
 mod eigen;
-mod lu;
 mod matrix;
-mod qr;
 pub mod tridiag;
 
 pub use cholesky::Cholesky;
 pub use eigen::{nearest_correlation, symmetric_eigen, SymmetricEigen};
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use tridiag::{factored_theta_system, theta_system, FactoredTridiag, ThomasScratch, Tridiag};

@@ -191,14 +191,10 @@ pub fn price_mc_cluster_ft(
     .map_err(|e| McError::Unsupported(e.to_string()))?;
 
     let result = ctx.finish(&outcome.survivors[0].value);
-    let mut time = TimeModel::from_results(&outcome.survivors);
-    for c in &outcome.crashed {
-        time.absorb_crashed(c.time, &c.stats);
-    }
     Ok(McClusterFtOutcome {
         result,
-        time,
-        crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
+        time: outcome.time_model(),
+        crashed: outcome.crash_sites(),
     })
 }
 
@@ -497,14 +493,10 @@ pub fn price_lsmc_cluster_ft(
         std_error: (var.max(0.0) / n).sqrt(),
         paths: n as u64,
     };
-    let mut time = TimeModel::from_results(&outcome.survivors);
-    for c in &outcome.crashed {
-        time.absorb_crashed(c.time, &c.stats);
-    }
     Ok(LsmcClusterFtOutcome {
         result,
-        time,
-        crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
+        time: outcome.time_model(),
+        crashed: outcome.crash_sites(),
     })
 }
 

@@ -15,15 +15,15 @@
 //! overlap the lattice cluster driver uses.
 //!
 //! The arithmetic per point matches the sequential engine exactly, so
-//! prices are bit-identical for every rank count.
+//! prices are bit-identical for every rank count — and after a crash
+//! recovery, since one SPMD body partitions over the supervisor's active
+//! ranks whether or not a checkpoint policy is set.
 
 use crate::grid::LogGrid;
 use crate::stencil::explicit_point;
 use crate::PdeError;
-use mdp_cluster::checkpoint::broadcast_active;
 use mdp_cluster::{
-    partition, run_spmd_ft, CheckpointStore, Communicator, FaultPlan, Machine, Supervisor,
-    TimeModel,
+    partition, run_supervised, Communicator, FaultPlan, Machine, Supervisor, TimeModel,
 };
 use mdp_model::{ExerciseStyle, GbmMarket, Product};
 
@@ -56,26 +56,30 @@ impl Default for ClusterFd1d {
 pub struct ClusterFdOutcome {
     /// Present value at the spot.
     pub price: f64,
-    /// Virtual-time model of the run.
+    /// Virtual-time model of the run, crashed ranks' time included.
     pub time: TimeModel,
-}
-
-/// Precomputed scheme coefficients and grid data shared by the plain
-/// and fault-tolerant drivers.
-struct FdSetup {
-    m: usize,
-    n: usize,
-    dt: f64,
-    r: f64,
-    a: f64,
-    b: f64,
-    c: f64,
-    intrinsic: Vec<f64>,
-    center: usize,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs; empty
+    /// without a checkpoint policy.
+    pub crashed: Vec<(usize, usize)>,
 }
 
 impl ClusterFd1d {
-    fn setup(&self, market: &GbmMarket, product: &Product) -> Result<FdSetup, PdeError> {
+    /// Price a European single-asset product on `p` ranks.
+    ///
+    /// `checkpoint` is an optional `(fault plan, interval)` policy: the
+    /// run goes under the [`FaultPlan`], checkpointing every rank's
+    /// owned grid points each `interval` time steps. Survivors of a
+    /// crash repartition the checkpointed grid layer over the shrunken
+    /// rank set and replay; the per-point update is owner-independent,
+    /// so the price is bit-identical to the fault-free run.
+    pub fn price(
+        &self,
+        market: &GbmMarket,
+        product: &Product,
+        p: usize,
+        machine: Machine,
+        checkpoint: Option<(FaultPlan, usize)>,
+    ) -> Result<ClusterFdOutcome, PdeError> {
         product.validate_for(market)?;
         if market.dim() != 1 {
             return Err(PdeError::Model(mdp_model::ModelError::DimensionMismatch {
@@ -112,87 +116,78 @@ impl ClusterFd1d {
         let mu = market.log_drift(0);
         let diff = 0.5 * sigma * sigma / (grid.dx * grid.dx);
         let conv = 0.5 * mu / grid.dx;
-        let spots = grid.spots();
-        Ok(FdSetup {
-            m,
-            n,
-            dt,
-            r,
-            a: diff - conv,
-            b: -2.0 * diff - r,
-            c: diff + conv,
-            intrinsic: spots.iter().map(|&s| product.payoff.eval(&[s])).collect(),
-            center: grid.center,
-        })
-    }
+        let (a, b, c) = (diff - conv, -2.0 * diff - r, diff + conv);
+        let intrinsic: Vec<f64> = grid
+            .spots()
+            .iter()
+            .map(|&s| product.payoff.eval(&[s]))
+            .collect();
+        let center = grid.center;
 
-    /// Price a European single-asset product on `p` ranks.
-    pub fn price(
-        &self,
-        market: &GbmMarket,
-        product: &Product,
-        p: usize,
-        machine: Machine,
-    ) -> Result<ClusterFdOutcome, PdeError> {
-        let setup = self.setup(market, product)?;
-        let FdSetup {
-            m,
-            n,
-            dt,
-            r,
-            a,
-            b,
-            c,
-            intrinsic,
-            center,
-        } = setup;
-        let intrinsic = &intrinsic;
-
-        let results = mdp_cluster::run_spmd(p, machine, |comm| {
+        let outcome = run_supervised(p, machine, checkpoint, |comm, sup| {
             let rank = comm.rank();
-            let size = comm.size();
-            let (lo, hi) = partition::block_range(m, size, rank);
-            let len = hi - lo;
+            // This rank's block of the grid over the active ranks, with
+            // the ranks owning its two ghost indices (skipping empty
+            // blocks when p > m). Fixed between recoveries.
+            let layout = |sup: &Supervisor| {
+                let active = sup.active();
+                let an = active.len();
+                let (lo, hi) = partition::block_range(m, an, sup.dense_index(rank));
+                let left =
+                    (hi > lo && lo > 0).then(|| active[partition::block_owner(m, an, lo - 1)]);
+                let right = (hi > lo && hi < m).then(|| active[partition::block_owner(m, an, hi)]);
+                (lo, hi, left, right)
+            };
+            let (mut lo, mut hi, mut left_owner, mut right_owner) = layout(sup);
+            let mut len = hi - lo;
             // Local values with one ghost cell on each side.
             let mut v = vec![0.0; len + 2];
             v[1..len + 1].copy_from_slice(&intrinsic[lo..hi]);
             comm.compute_units(len as f64 * 2.0);
-
             let mut new_v = vec![0.0; len + 2];
-            // The owners of the ghost indices are fixed across steps
-            // (skips over empty blocks when p > m).
-            let left_owner = if len > 0 && lo > 0 {
-                Some(partition::block_owner(m, size, lo - 1))
-            } else {
-                None
-            };
-            let right_owner = if len > 0 && hi < m {
-                Some(partition::block_owner(m, size, hi))
-            } else {
-                None
-            };
-            // A local point needs a ghost value only if it sits at a
-            // block edge with a neighbouring rank *and* is not a global
-            // Dirichlet boundary row (those read no neighbours at all).
-            let needs_ghost = |k: usize| {
-                let gidx = lo + k;
-                gidx != 0
-                    && gidx != m - 1
-                    && ((k == 0 && left_owner.is_some()) || (k + 1 == len && right_owner.is_some()))
-            };
-            for step in 1..=n {
-                let tau = step as f64 * dt;
+
+            let mut k = 0usize; // completed time steps == boundary index
+            while k < n {
+                if let Some(rec) = sup.boundary(comm, k, || (lo, v[1..len + 1].to_vec())) {
+                    // Roll back: rebuild the full grid from the pooled
+                    // records and repartition over the survivors.
+                    let k0 = rec.from_step.expect("boundary 0 always checkpoints");
+                    let mut full = vec![0.0; m];
+                    for (_, r) in &rec.records {
+                        full[r.lo..r.lo + r.data.len()].copy_from_slice(&r.data);
+                    }
+                    (lo, hi, left_owner, right_owner) = layout(sup);
+                    len = hi - lo;
+                    v = vec![0.0; len + 2];
+                    v[1..len + 1].copy_from_slice(&full[lo..hi]);
+                    new_v = vec![0.0; len + 2];
+                    k = k0;
+                    continue; // re-enter boundary k0: fresh-era checkpoint
+                }
+
+                // A local point needs a ghost value only if it sits at a
+                // block edge with a neighbouring rank *and* is not a
+                // global Dirichlet boundary row (those read no
+                // neighbours at all).
+                let needs_ghost = |kk: usize| {
+                    let gidx = lo + kk;
+                    gidx != 0
+                        && gidx != m - 1
+                        && ((kk == 0 && left_owner.is_some())
+                            || (kk + 1 == len && right_owner.is_some()))
+                };
+                let tau = (k + 1) as f64 * dt;
                 let df = (-r * tau).exp();
-                let update = |k: usize, v: &[f64], new_v: &mut [f64]| {
-                    let gidx = lo + k;
+                let update = |kk: usize, v: &[f64], new_v: &mut [f64]| {
+                    let gidx = lo + kk;
                     if gidx == 0 {
-                        new_v[k + 1] = df * intrinsic[0];
+                        new_v[kk + 1] = df * intrinsic[0];
                     } else if gidx == m - 1 {
-                        new_v[k + 1] = df * intrinsic[m - 1];
+                        new_v[kk + 1] = df * intrinsic[m - 1];
                     } else {
                         // Same per-point kernel as the sequential
                         // engine and the trapezoid base case.
-                        new_v[k + 1] = explicit_point(dt, a, b, c, v[k], v[k + 1], v[k + 2]);
+                        new_v[kk + 1] = explicit_point(dt, a, b, c, v[kk], v[kk + 1], v[kk + 2]);
                     }
                 };
                 // --- post the halo sends, then update the interior
@@ -209,148 +204,6 @@ impl ClusterFd1d {
                     comm.send(r, T_EDGE, &[v[len]]);
                 }
                 let mut interior_pts = 0u64;
-                for k in 0..len {
-                    if !needs_ghost(k) {
-                        update(k, &v, &mut new_v);
-                        interior_pts += 1;
-                    }
-                }
-                comm.compute_units(interior_pts as f64 * 8.0);
-                // --- complete the exchange and finish the edge points -
-                if let Some(l) = left_owner {
-                    v[0] = comm.recv(l, T_EDGE)[0];
-                }
-                if let Some(r) = right_owner {
-                    v[len + 1] = comm.recv(r, T_EDGE)[0];
-                }
-                let mut edge_pts = 0u64;
-                for k in 0..len {
-                    if needs_ghost(k) {
-                        update(k, &v, &mut new_v);
-                        edge_pts += 1;
-                    }
-                }
-                comm.compute_units(edge_pts as f64 * 8.0);
-                std::mem::swap(&mut v, &mut new_v);
-            }
-
-            // Owner of the centre point broadcasts the price through
-            // the topology-aware engine (bitwise-identical to the flat
-            // broadcast on every machine).
-            let owner = partition::block_owner(m, size, center);
-            let engine = mdp_cluster::CollectiveEngine::for_machine(comm.machine(), size);
-            let mut price = [0.0];
-            if rank == owner {
-                price[0] = v[center - lo + 1];
-            }
-            engine.broadcast(comm, owner, &mut price);
-            price[0]
-        })
-        .map_err(|e| {
-            PdeError::Model(mdp_model::ModelError::Unsupported {
-                engine: "distributed explicit FD",
-                why: e.to_string(),
-            })
-        })?;
-
-        Ok(ClusterFdOutcome {
-            price: results[0].value,
-            time: TimeModel::from_results(&results),
-        })
-    }
-
-    /// Fault-tolerant variant of [`ClusterFd1d::price`]: runs under a
-    /// [`FaultPlan`], checkpointing every rank's owned grid points each
-    /// `ckpt_interval` time steps. Survivors of a crash repartition the
-    /// checkpointed grid layer over the shrunken rank set and replay;
-    /// the per-point update is owner-independent, so the price is
-    /// bit-identical to the fault-free run.
-    pub fn price_ft(
-        &self,
-        market: &GbmMarket,
-        product: &Product,
-        p: usize,
-        machine: Machine,
-        plan: FaultPlan,
-        ckpt_interval: usize,
-    ) -> Result<ClusterFdFtOutcome, PdeError> {
-        let s = self.setup(market, product)?;
-        let store = CheckpointStore::new();
-
-        let outcome = run_spmd_ft(p, machine, plan, |comm| {
-            let rank = comm.rank();
-            let mut sup = Supervisor::new(comm, ckpt_interval, &store);
-            let m = s.m;
-            let (mut lo, mut hi) =
-                partition::block_range(m, sup.active().len(), sup.dense_index(rank));
-            let mut len = hi - lo;
-            let mut v = vec![0.0; len + 2];
-            v[1..len + 1].copy_from_slice(&s.intrinsic[lo..hi]);
-            comm.compute_units(len as f64 * 2.0);
-            let mut new_v = vec![0.0; len + 2];
-
-            let mut k = 0usize; // completed time steps == boundary index
-            while k < s.n {
-                if let Some(rec) = sup.boundary(comm, k, || (lo, v[1..len + 1].to_vec())) {
-                    // Roll back: rebuild the full grid from the pooled
-                    // records and repartition over the survivors.
-                    let k0 = rec.from_step.expect("boundary 0 always checkpoints");
-                    let mut full = vec![0.0; m];
-                    for (_, r) in &rec.records {
-                        full[r.lo..r.lo + r.data.len()].copy_from_slice(&r.data);
-                    }
-                    let (l, h) =
-                        partition::block_range(m, sup.active().len(), sup.dense_index(rank));
-                    lo = l;
-                    hi = h;
-                    len = hi - lo;
-                    v = vec![0.0; len + 2];
-                    v[1..len + 1].copy_from_slice(&full[lo..hi]);
-                    new_v = vec![0.0; len + 2];
-                    k = k0;
-                    continue; // re-enter boundary k0: fresh-era checkpoint
-                }
-
-                let active = sup.active().to_vec();
-                let an = active.len();
-                let step = k + 1;
-                // Ghost owners under the current active partition.
-                let left_owner = if len > 0 && lo > 0 {
-                    Some(active[partition::block_owner(m, an, lo - 1)])
-                } else {
-                    None
-                };
-                let right_owner = if len > 0 && hi < m {
-                    Some(active[partition::block_owner(m, an, hi)])
-                } else {
-                    None
-                };
-                let needs_ghost = |kk: usize| {
-                    let gidx = lo + kk;
-                    gidx != 0
-                        && gidx != m - 1
-                        && ((kk == 0 && left_owner.is_some())
-                            || (kk + 1 == len && right_owner.is_some()))
-                };
-                let tau = step as f64 * s.dt;
-                let df = (-s.r * tau).exp();
-                let update = |kk: usize, v: &[f64], new_v: &mut [f64]| {
-                    let gidx = lo + kk;
-                    if gidx == 0 {
-                        new_v[kk + 1] = df * s.intrinsic[0];
-                    } else if gidx == m - 1 {
-                        new_v[kk + 1] = df * s.intrinsic[m - 1];
-                    } else {
-                        new_v[kk + 1] = explicit_point(s.dt, s.a, s.b, s.c, v[kk], v[kk + 1], v[kk + 2]);
-                    }
-                };
-                if let Some(l) = left_owner {
-                    comm.send(l, T_EDGE, &[v[1]]);
-                }
-                if let Some(r) = right_owner {
-                    comm.send(r, T_EDGE, &[v[len]]);
-                }
-                let mut interior_pts = 0u64;
                 for kk in 0..len {
                     if !needs_ghost(kk) {
                         update(kk, &v, &mut new_v);
@@ -358,6 +211,7 @@ impl ClusterFd1d {
                     }
                 }
                 comm.compute_units(interior_pts as f64 * 8.0);
+                // --- complete the exchange and finish the edge points -
                 if let Some(l) = left_owner {
                     v[0] = comm.recv(l, T_EDGE)[0];
                 }
@@ -376,14 +230,16 @@ impl ClusterFd1d {
                 k += 1;
             }
 
-            let active = sup.active().to_vec();
-            let owner = active[partition::block_owner(m, active.len(), s.center)];
-            let price = if rank == owner {
-                vec![v[s.center - lo + 1]]
+            // Owner of the centre point broadcasts the price.
+            let active = sup.active();
+            let owner = active[partition::block_owner(m, active.len(), center)];
+            let mut price = [if rank == owner {
+                v[center - lo + 1]
             } else {
-                vec![0.0]
-            };
-            broadcast_active(comm, &active, owner, &price)[0]
+                0.0
+            }];
+            sup.broadcast(comm, owner, &mut price);
+            price[0]
         })
         .map_err(|e| {
             PdeError::Model(mdp_model::ModelError::Unsupported {
@@ -392,28 +248,12 @@ impl ClusterFd1d {
             })
         })?;
 
-        let price = outcome.survivors[0].value;
-        let mut time = TimeModel::from_results(&outcome.survivors);
-        for c in &outcome.crashed {
-            time.absorb_crashed(c.time, &c.stats);
-        }
-        Ok(ClusterFdFtOutcome {
-            price,
-            time,
-            crashed: outcome.crashed.iter().map(|c| (c.rank, c.step)).collect(),
+        Ok(ClusterFdOutcome {
+            price: outcome.survivors[0].value,
+            time: outcome.time_model(),
+            crashed: outcome.crash_sites(),
         })
     }
-}
-
-/// Outcome of a fault-tolerant distributed PDE run.
-#[derive(Debug, Clone)]
-pub struct ClusterFdFtOutcome {
-    /// Present value at the spot — bit-identical to the fault-free run.
-    pub price: f64,
-    /// Virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
 }
 
 #[cfg(test)]
@@ -455,7 +295,7 @@ mod tests {
                 time_steps: 2000,
                 ..Default::default()
             }
-            .price(&m, &p, ranks, Machine::ideal())
+            .price(&m, &p, ranks, Machine::ideal(), None)
             .unwrap()
             .price;
             assert_eq!(par.to_bits(), seq.to_bits(), "ranks={ranks}");
@@ -478,12 +318,12 @@ mod tests {
             ..Default::default()
         };
         let t1 = cfg
-            .price(&m, &p, 1, Machine::cluster2002())
+            .price(&m, &p, 1, Machine::cluster2002(), None)
             .unwrap()
             .time
             .makespan;
         let t8 = cfg
-            .price(&m, &p, 8, Machine::cluster2002())
+            .price(&m, &p, 8, Machine::cluster2002(), None)
             .unwrap()
             .time
             .makespan;
@@ -492,8 +332,16 @@ mod tests {
             s8_cluster < 1.0,
             "the high-latency cluster should *lose* on this kernel: {s8_cluster}"
         );
-        let t1_smp = cfg.price(&m, &p, 1, Machine::smp()).unwrap().time.makespan;
-        let t8_smp = cfg.price(&m, &p, 8, Machine::smp()).unwrap().time.makespan;
+        let t1_smp = cfg
+            .price(&m, &p, 1, Machine::smp(), None)
+            .unwrap()
+            .time
+            .makespan;
+        let t8_smp = cfg
+            .price(&m, &p, 8, Machine::smp(), None)
+            .unwrap()
+            .time
+            .makespan;
         let s8_smp = t1_smp / t8_smp;
         assert!(
             s8_smp > s8_cluster,
@@ -512,7 +360,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            cfg.price(&m, &p, 2, Machine::ideal()),
+            cfg.price(&m, &p, 2, Machine::ideal(), None),
             Err(PdeError::Unstable { .. })
         ));
     }
@@ -528,10 +376,10 @@ mod tests {
             1.0,
         );
         let cfg = ClusterFd1d::default();
-        assert!(cfg.price(&m, &am, 2, Machine::ideal()).is_err());
+        assert!(cfg.price(&m, &am, 2, Machine::ideal(), None).is_err());
         let m2 = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
         let rainbow = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        assert!(cfg.price(&m2, &rainbow, 2, Machine::ideal()).is_err());
+        assert!(cfg.price(&m2, &rainbow, 2, Machine::ideal(), None).is_err());
     }
 
     #[test]
@@ -543,20 +391,21 @@ mod tests {
             time_steps: 2000,
             ..Default::default()
         };
-        let plain = cfg.price(&m, &p, 4, Machine::cluster2002()).unwrap();
+        let plain = cfg.price(&m, &p, 4, Machine::cluster2002(), None).unwrap();
         let ft = cfg
-            .price_ft(
+            .price(
                 &m,
                 &p,
                 4,
                 Machine::cluster2002(),
-                mdp_cluster::FaultPlan::new(2),
-                500,
+                Some((mdp_cluster::FaultPlan::new(2), 500)),
             )
             .unwrap();
         assert_eq!(ft.price.to_bits(), plain.price.to_bits());
         assert!(ft.crashed.is_empty());
         assert!(ft.time.total_ckpt_time > 0.0);
+        assert!(plain.crashed.is_empty());
+        assert_eq!(plain.time.total_ckpt_time, 0.0, "no policy, no checkpoints");
     }
 
     #[test]
@@ -580,7 +429,7 @@ mod tests {
         for crash_at in [150usize, 1999] {
             let plan = mdp_cluster::FaultPlan::new(4).with_crash(1, crash_at);
             let ft = cfg
-                .price_ft(&m, &p, 4, Machine::cluster2002(), plan, 250)
+                .price(&m, &p, 4, Machine::cluster2002(), Some((plan, 250)))
                 .unwrap();
             assert_eq!(
                 ft.price.to_bits(),
@@ -600,8 +449,8 @@ mod tests {
             time_steps: 50,
             ..Default::default()
         };
-        let seq = cfg.price(&m, &p, 1, Machine::ideal()).unwrap().price;
-        let par = cfg.price(&m, &p, 9, Machine::ideal()).unwrap().price;
+        let seq = cfg.price(&m, &p, 1, Machine::ideal(), None).unwrap().price;
+        let par = cfg.price(&m, &p, 9, Machine::ideal(), None).unwrap().price;
         assert_eq!(seq.to_bits(), par.to_bits());
     }
 }

@@ -116,7 +116,7 @@ proptest! {
             time_steps: n,
             ..Default::default()
         }
-        .price(&market, &product, ranks, Machine::ideal())
+        .price(&market, &product, ranks, Machine::ideal(), None)
         .unwrap();
         prop_assert_eq!(seq.price.to_bits(), par.price.to_bits(), "ranks={}", ranks);
     }

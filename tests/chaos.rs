@@ -6,7 +6,7 @@
 //! run (recovery succeeded) or a clean typed error (all ranks died) —
 //! never a hang, never a silently wrong number.
 
-use mdp_core::lattice::cluster::{price_cluster, price_cluster_ft, Decomposition};
+use mdp_core::lattice::cluster::{price_cluster, Decomposition};
 use mdp_core::mc::cluster_driver::{price_mc_cluster, price_mc_cluster_ft};
 use mdp_core::pde::cluster::ClusterFd1d;
 use mdp_core::prelude::*;
@@ -34,11 +34,12 @@ proptest! {
         let prod = maxcall();
         let n = 16usize;
         let reference = price_cluster(
-            &m, &prod, n, 4, Machine::cluster2002(), Decomposition::Block,
+            &m, &prod, n, 4, Machine::cluster2002(), Decomposition::Block, None,
         ).unwrap();
         let plan = FaultPlan::new(seed).with_crash(crash_rank, crash_step);
-        let ft = price_cluster_ft(
-            &m, &prod, n, 4, Machine::cluster2002(), plan, interval,
+        let ft = price_cluster(
+            &m, &prod, n, 4, Machine::cluster2002(), Decomposition::Block,
+            Some((plan, interval)),
         ).unwrap();
         prop_assert_eq!(ft.price.to_bits(), reference.price.to_bits());
         prop_assert_eq!(ft.crashed.clone(), vec![(crash_rank, crash_step)]);
@@ -80,9 +81,11 @@ proptest! {
             1.0,
         );
         let cfg = ClusterFd1d { space_points: 51, time_steps: 200, ..Default::default() };
-        let reference = cfg.price(&m, &prod, 4, Machine::cluster2002()).unwrap();
+        let reference = cfg.price(&m, &prod, 4, Machine::cluster2002(), None).unwrap();
         let plan = FaultPlan::new(seed).with_crash(crash_rank, crash_step);
-        let ft = cfg.price_ft(&m, &prod, 4, Machine::cluster2002(), plan, interval).unwrap();
+        let ft = cfg
+            .price(&m, &prod, 4, Machine::cluster2002(), Some((plan, interval)))
+            .unwrap();
         prop_assert_eq!(ft.price.to_bits(), reference.price.to_bits());
         prop_assert_eq!(ft.crashed.clone(), vec![(crash_rank, crash_step)]);
     }
@@ -98,8 +101,9 @@ proptest! {
         for r in 0..3 {
             plan = plan.with_crash(r, step + r % 2);
         }
-        let lat = price_cluster_ft(
-            &m2, &prod, 16, 3, Machine::cluster2002(), plan.clone(), 4,
+        let lat = price_cluster(
+            &m2, &prod, 16, 3, Machine::cluster2002(), Decomposition::Block,
+            Some((plan.clone(), 4)),
         );
         let err = lat.expect_err("all-crash lattice run must fail");
         prop_assert!(
@@ -113,7 +117,7 @@ proptest! {
             1.0,
         );
         let cfg = ClusterFd1d { space_points: 51, time_steps: 200, ..Default::default() };
-        let pde = cfg.price_ft(&m1, &call1, 3, Machine::cluster2002(), plan.clone(), 16);
+        let pde = cfg.price(&m1, &call1, 3, Machine::cluster2002(), Some((plan.clone(), 16)));
         let err = pde.expect_err("all-crash pde run must fail");
         prop_assert!(
             err.to_string().contains("injected crash"),
@@ -147,13 +151,15 @@ proptest! {
         let m = market2();
         let prod = maxcall();
         let reference = price_cluster(
-            &m, &prod, 16, 4, Machine::cluster2002(), Decomposition::Block,
+            &m, &prod, 16, 4, Machine::cluster2002(), Decomposition::Block, None,
         ).unwrap();
         let plan = FaultPlan::new(seed)
             .with_drops(drop_pct as f64 / 100.0)
             .with_delays(0.1, 1e-4)
             .with_max_retries(30);
-        let ft = price_cluster_ft(&m, &prod, 16, 4, Machine::cluster2002(), plan, 4).unwrap();
+        let ft = price_cluster(
+            &m, &prod, 16, 4, Machine::cluster2002(), Decomposition::Block, Some((plan, 4)),
+        ).unwrap();
         prop_assert_eq!(ft.price.to_bits(), reference.price.to_bits());
         if drop_pct > 0 {
             prop_assert!(ft.time.total_retransmits >= ft.time.total_dropped.min(1));

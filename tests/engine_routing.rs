@@ -378,18 +378,30 @@ fn faulted_checkpointed_runs_match_fault_free_bitwise() {
 }
 
 /// A zero checkpoint interval is a typed configuration error, not a
-/// divide-by-zero inside a driver.
+/// divide-by-zero inside a driver; so is a fault plan on a backend that
+/// would silently ignore it.
 #[test]
 fn zero_checkpoint_interval_is_rejected() {
     let market = GbmMarket::symmetric(2, 100.0, 0.2, 0.0, 0.05, 0.3).unwrap();
     let product = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-    let err = Pricer::new(Method::MultiLattice { steps: 24 })
-        .backend(Backend::Cluster {
+    let lattice = Pricer::new(Method::MultiLattice { steps: 24 });
+    let faulted = |backend| {
+        lattice
+            .clone()
+            .backend(backend)
+            .fault_plan(FaultPlan::new(1).with_crash(1, 3))
+    };
+    for pricer in [
+        lattice.clone().backend(Backend::Cluster {
             ranks: 2,
             machine: Machine::ideal(),
             checkpoint_interval: Some(0),
-        })
-        .price(&market, &product)
-        .unwrap_err();
-    assert!(matches!(err, PriceError::Unsupported(_)));
+        }),
+        faulted(Backend::Sequential),
+        faulted(Backend::Rayon),
+        faulted(Backend::cluster(2, Machine::ideal())),
+    ] {
+        let err = pricer.price(&market, &product).unwrap_err();
+        assert!(matches!(err, PriceError::Unsupported(_)));
+    }
 }

@@ -40,13 +40,21 @@ fn lattice_bitwise_identical_across_backends_and_ranks() {
 fn lattice_decompositions_agree() {
     let m = market(2);
     let p = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
-    let block = price_cluster(&m, &p, 32, 4, Machine::ideal(), Decomposition::Block)
+    let block = price_cluster(&m, &p, 32, 4, Machine::ideal(), Decomposition::Block, None)
         .unwrap()
         .price;
     for b in [1usize, 2, 5] {
-        let cyc = price_cluster(&m, &p, 32, 4, Machine::ideal(), Decomposition::Cyclic(b))
-            .unwrap()
-            .price;
+        let cyc = price_cluster(
+            &m,
+            &p,
+            32,
+            4,
+            Machine::ideal(),
+            Decomposition::Cyclic(b),
+            None,
+        )
+        .unwrap()
+        .price;
         assert_eq!(block.to_bits(), cyc.to_bits(), "cyclic({b})");
     }
 }
