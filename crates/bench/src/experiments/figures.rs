@@ -50,7 +50,7 @@ fn mc_curve(paths: u64) -> ScalingCurve {
     let times: Vec<f64> = PROCS
         .iter()
         .map(|&ranks| {
-            price_mc_cluster(&m, &p, cfg, ranks, Machine::cluster2002())
+            price_mc_cluster(&m, &p, cfg, ranks, Machine::cluster2002(), None)
                 .unwrap()
                 .time
                 .makespan
@@ -257,7 +257,7 @@ pub fn f5_weak_scaling(effort: Effort) {
                 block_size: (paths / 64).max(1),
                 ..Default::default()
             };
-            let out = price_mc_cluster(&m, &p, cfg, ranks, Machine::cluster2002()).unwrap();
+            let out = price_mc_cluster(&m, &p, cfg, ranks, Machine::cluster2002(), None).unwrap();
             if ranks == 1 {
                 t1 = out.time.makespan;
             }
@@ -372,7 +372,7 @@ pub fn f6_isoefficiency(effort: Effort) {
                 block_size: 512,
                 ..Default::default()
             };
-            price_mc_cluster(&m, &prod, cfg, p, Machine::cluster2002())
+            price_mc_cluster(&m, &prod, cfg, p, Machine::cluster2002(), None)
                 .unwrap()
                 .time
                 .makespan

@@ -856,6 +856,7 @@ pub fn t6_communication_overhead(effort: Effort) {
             },
             ranks,
             Machine::cluster2002(),
+            None,
         )
         .unwrap();
         t.push(&[
@@ -881,8 +882,6 @@ pub fn t6_communication_overhead(effort: Effort) {
 /// the fault-free run. Writes `BENCH_fault_tolerance.json` so CI can
 /// gate on the overhead and recovery fields.
 pub fn t6b_fault_tolerance(effort: Effort) {
-    use mdp_core::mc::cluster_driver::price_mc_cluster_ft;
-
     let mut t = Table::new(
         "T6b: checkpoint overhead and crash recovery (2002 cluster)",
         &["engine", "interval", "crash step", "T_model [ms]", "overhead %"],
@@ -995,19 +994,25 @@ pub fn t6b_fault_tolerance(effort: Effort) {
         block_size: (paths / 64).max(1),
         ..Default::default()
     };
-    let mc_plain = price_mc_cluster(&m5, &basket_call(5), cfg, ranks, Machine::cluster2002()).unwrap();
+    let mc_plain = price_mc_cluster(
+        &m5,
+        &basket_call(5),
+        cfg,
+        ranks,
+        Machine::cluster2002(),
+        None,
+    )
+    .unwrap();
     let mc_base_ms = mc_plain.time.makespan * 1e3;
     for &crash_at in &[4usize, 12] {
         let plan = FaultPlan::new(0).with_crash(1, crash_at);
-        let ft = price_mc_cluster_ft(
+        let ft = price_mc_cluster(
             &m5,
             &basket_call(5),
             cfg,
             ranks,
             Machine::cluster2002(),
-            plan,
-            16,
-            4,
+            Some((plan, 4)),
         )
         .unwrap();
         assert_eq!(
@@ -1659,7 +1664,7 @@ pub fn t11_serve(effort: Effort) {
 /// Part 2 reads whole-book risk off fused scenario cubes:
 ///
 /// * **FD bump Greeks** — [`RiskCube::greeks`] (one plan, `4d + 2`
-///   scenario rows, spot rows fused into the multi-RHS panel) against
+///   scenario rows on patched copies of it) against
 ///   the per-product [`Pricer::greeks`] loop, delta/gamma/vega/rho
 ///   asserted bitwise-equal. (The loop also buys theta — one extra
 ///   pricing in `4d + 4` — which the cube cannot express; its speedup
@@ -1668,10 +1673,6 @@ pub fn t11_serve(effort: Effort) {
 ///   sweep ([`RiskCube::price`]: normals drawn and correlated once,
 ///   per-scenario re-walks) against the plan-per-scenario
 ///   [`RiskCube::price_naive`] oracle, rows asserted bitwise-equal.
-/// * **FD spot panel** — [`RiskCube::price`] on pure spot scenarios vs
-///   the same oracle (reported unguarded: the naive loop already rides
-///   the fused ladder per scenario, so the panel's edge is only the
-///   amortised plan work).
 ///
 /// Timings take the best of `TICK_BENCH_REPS` repetitions per side.
 /// Writes `BENCH_tick.json` so CI can gate the tick and cube speedups
@@ -1888,36 +1889,6 @@ pub fn t12_tick_repricing(effort: Effort) {
         format!("{} fused", mc_cube_res.fused_scenarios),
     ]);
 
-    // Part 2c: FD spot panel vs the naive oracle — reported but not
-    // gated: the oracle already rides the fused ladder per scenario, so
-    // only the plan work is amortised here.
-    let k_fd = effort.scale(8, 16);
-    let spot_scens: Vec<MarketDelta> = (0..k_fd)
-        .map(|k| MarketDelta::Spot {
-            asset: 0,
-            spot: 90.0 + 20.0 * k as f64 / k_fd as f64,
-        })
-        .collect();
-    let (fd_cube_res, fd_panel_s) = best_of(TICK_BENCH_REPS, &|| {
-        fd_cube.price(&m1, &fd_book, &spot_scens).expect("fd cube")
-    });
-    let (fd_naive_res, fd_panel_naive_s) = best_of(TICK_BENCH_REPS, &|| {
-        fd_cube
-            .price_naive(&m1, &fd_book, &spot_scens)
-            .expect("fd naive")
-    });
-    assert_eq!(fd_cube_res.fused_scenarios, k_fd);
-    assert_cube_rows_bitwise(&fd_cube_res, &fd_naive_res, "FD spot cube");
-    let fd_panel_ratio = fd_panel_naive_s / fd_panel_s;
-    t.push(&[
-        "fd spot panel".to_string(),
-        format!("{n_fd} prod × {k_fd} scen"),
-        fmt_sig(fd_panel_naive_s, 3),
-        fmt_sig(fd_panel_s, 3),
-        format!("{fd_panel_ratio:.2}"),
-        format!("{} fused", fd_cube_res.fused_scenarios),
-    ]);
-
     save("t12_tick_repricing", &t);
 
     let json = format!(
@@ -1930,14 +1901,10 @@ pub fn t12_tick_repricing(effort: Effort) {
          \"amortized_speedup\": {greeks_speedup:.3}}},\n    \
          {{\"book\": \"mc_shared_paths\", \"products\": {}, \"scenarios\": {}, \
          \"fused\": {}, \"loop_s\": {mc_naive_s:.6}, \"cube_s\": {mc_cube_s:.6}, \
-         \"amortized_speedup\": {mc_cube_speedup:.3}}}\n  ],\n  \
-         \"spot_panel\": {{\"products\": {n_fd}, \"scenarios\": {k_fd}, \"fused\": {}, \
-         \"naive_s\": {fd_panel_naive_s:.6}, \"panel_s\": {fd_panel_s:.6}, \
-         \"panel_vs_naive\": {fd_panel_ratio:.3}}}\n}}\n",
+         \"amortized_speedup\": {mc_cube_speedup:.3}}}\n  ]\n}}\n",
         mc_book.len(),
         mc_scens.len(),
         mc_cube_res.fused_scenarios,
-        fd_cube_res.fused_scenarios,
     );
     let _ = std::fs::write(crate::out_dir().join("BENCH_tick.json"), json);
 }
@@ -2412,8 +2379,8 @@ pub fn t15_cluster_scale(effort: Effort) {
         ..Default::default()
     };
     for &p in mc_procs {
-        let flat = price_mc_cluster(&m5, &prod5, mc_cfg, p, flat_machine).unwrap();
-        let hier = price_mc_cluster(&m5, &prod5, mc_cfg, p, auto_machine).unwrap();
+        let flat = price_mc_cluster(&m5, &prod5, mc_cfg, p, flat_machine, None).unwrap();
+        let hier = price_mc_cluster(&m5, &prod5, mc_cfg, p, auto_machine, None).unwrap();
         assert_eq!(
             flat.result.price.to_bits(),
             hier.result.price.to_bits(),
@@ -2515,7 +2482,7 @@ pub fn t15_cluster_scale(effort: Effort) {
                 block_size: (paths / 2048).max(1),
                 ..Default::default()
             };
-            price_mc_cluster(&m5, &prod5, cfg, p, machine)
+            price_mc_cluster(&m5, &prod5, cfg, p, machine, None)
                 .unwrap()
                 .time
                 .makespan

@@ -217,6 +217,22 @@ pub struct Recovery {
     pub records: Vec<(usize, CheckpointRecord)>,
 }
 
+impl Recovery {
+    /// Every pooled record's `[id, payload(width)]` rows, in ascending
+    /// id order — for drivers whose snapshots are id-tagged rows, the
+    /// layout [`Supervisor::fold_blocks`] takes.
+    pub fn sorted_rows(&self, width: usize) -> Vec<&[f64]> {
+        rows_by_id(self.records.iter().map(|(_, r)| r.data.as_slice()), width)
+    }
+}
+
+/// The `[id, payload(width)]` rows of `parts`, in ascending id order.
+fn rows_by_id<'a>(parts: impl Iterator<Item = &'a [f64]>, width: usize) -> Vec<&'a [f64]> {
+    let mut rows: Vec<&[f64]> = parts.flat_map(|p| p.chunks_exact(1 + width)).collect();
+    rows.sort_by_key(|row| row[0] as u64);
+    rows
+}
+
 /// Per-rank driver-side coordinator for checkpointing and recovery.
 ///
 /// Drivers construct one per rank (or get one from [`run_supervised`]),
@@ -410,8 +426,9 @@ impl Supervisor {
 
     /// Broadcast `data` from `root` to every active rank. Without a
     /// checkpoint policy this is [`CollectiveEngine::for_machine`] over
-    /// the full communicator; with one it is [`broadcast_active`] over
-    /// the survivors. Both schedules are pinned by golden makespans.
+    /// the full communicator; with one it is a linear (binomial at
+    /// [`BCAST_TREE_THRESHOLD`] ranks) fan-out over the survivors. Both
+    /// schedules are pinned by golden makespans.
     pub fn broadcast(&self, comm: &mut ThreadComm, root: usize, data: &mut [f64]) {
         if self.interval.is_none() {
             CollectiveEngine::for_machine(comm.machine(), comm.size()).broadcast(comm, root, data);
@@ -419,6 +436,66 @@ impl Supervisor {
             let out = broadcast_active(comm, &self.active, root, data);
             data.copy_from_slice(&out);
         }
+    }
+
+    /// Fold per-block partial results in global block order and give
+    /// the `width`-wide total to every active rank.
+    ///
+    /// `rows` holds this rank's blocks as `[id, payload(width)]` rows.
+    /// The first active rank collects every rank's rows, hands the
+    /// payloads to `fold` in ascending block-id order (ids stripped),
+    /// and broadcasts the result. The association `fold` applies is
+    /// therefore independent of which rank owned which block.
+    ///
+    /// Without a checkpoint policy the ids never travel: each rank must
+    /// hold one contiguous, ascending id range, ranks in rank order, so
+    /// rank order is block order. The payloads go untagged through
+    /// [`CollectiveEngine::gather_varied`] and the result through the
+    /// engine's broadcast. With a policy, blocks may have moved between
+    /// survivors, so the tagged rows are gathered linearly over the
+    /// active set and sorted by id at the root.
+    pub fn fold_blocks(
+        &self,
+        comm: &mut ThreadComm,
+        rows: &[f64],
+        width: usize,
+        fold: impl FnOnce(&[&[f64]]) -> Vec<f64>,
+    ) -> Vec<f64> {
+        let root = self.active[0];
+        let mut out = vec![0.0; width];
+        if self.interval.is_none() {
+            debug_assert!(
+                rows.chunks_exact(1 + width)
+                    .zip(rows.chunks_exact(1 + width).skip(1))
+                    .all(|(a, b)| b[0] == a[0] + 1.0),
+                "a rank without a policy holds one contiguous block range"
+            );
+            let payload: Vec<f64> = rows
+                .chunks_exact(1 + width)
+                .flat_map(|row| &row[1..])
+                .copied()
+                .collect();
+            let engine = CollectiveEngine::for_machine(comm.machine(), comm.size());
+            if let Some(parts) = engine.gather_varied(comm, root, &payload) {
+                let ordered: Vec<&[f64]> = parts
+                    .iter()
+                    .flat_map(|part| part.chunks_exact(width))
+                    .collect();
+                out = fold(&ordered);
+            }
+        } else {
+            let parts = gather_active(comm, &self.active, root, rows);
+            if comm.rank() == root {
+                let ordered: Vec<&[f64]> = rows_by_id(parts.iter().map(Vec::as_slice), width)
+                    .into_iter()
+                    .map(|row| &row[1..])
+                    .collect();
+                out = fold(&ordered);
+            }
+        }
+        assert_eq!(out.len(), width, "fold must return `width` values");
+        self.broadcast(comm, root, &mut out);
+        out
     }
 
     /// Flat failure-agreement exchange at a crash boundary. Every
@@ -608,7 +685,7 @@ fn dirty_values(prev: Option<&(usize, Vec<f64>)>, lo: usize, data: &[f64]) -> us
     }
 }
 
-/// Active-set size at which [`broadcast_active`] switches from the
+/// Active-set size at which the survivors' broadcast switches from the
 /// linear fan-out to a binomial tree over dense indices.
 pub const BCAST_TREE_THRESHOLD: usize = 64;
 
@@ -618,7 +695,7 @@ pub const BCAST_TREE_THRESHOLD: usize = 64;
 /// so this one runs over dense active-list indices instead — linear
 /// below [`BCAST_TREE_THRESHOLD`] ranks, a binomial tree at or above
 /// (O(log s) depth instead of an O(s) root serial fan-out).
-pub fn broadcast_active(
+pub(crate) fn broadcast_active(
     comm: &mut ThreadComm,
     active: &[usize],
     root: usize,
@@ -665,7 +742,7 @@ pub fn broadcast_active(
 
 /// Gather each active rank's `data` to `root` (linear, in active-list
 /// order). Returns the per-rank payloads on `root`, empty elsewhere.
-pub fn gather_active(
+pub(crate) fn gather_active(
     comm: &mut ThreadComm,
     active: &[usize],
     root: usize,
@@ -1012,5 +1089,60 @@ mod tests {
         assert_eq!(r[3].value.0, vec![7.5]);
         assert_eq!(r[0].value.1, vec![0.0, 2.0, 3.0]);
         assert!(r[2].value.1.is_empty());
+    }
+
+    #[test]
+    fn fold_blocks_is_identical_with_and_without_a_policy() {
+        // An order-sensitive fold (values of mixed magnitude, summed left
+        // to right) over uneven block counts, some ranks owning none:
+        // both paths must hand the blocks to `fold` in id order, so every
+        // rank gets the same bits as a sequential fold.
+        let width = 3;
+        let value =
+            |b: usize, j: usize| ((b * 7 + j) as f64).sin() * 10f64.powi((b % 5) as i32 * 4);
+        let fold = |rows: &[&[f64]]| {
+            let mut acc = vec![0.0; width];
+            for row in rows {
+                for (a, v) in acc.iter_mut().zip(row.iter()) {
+                    *a += v;
+                }
+            }
+            acc
+        };
+        for p in [1usize, 2, 3, 5] {
+            for blocks in [1, p, 2 * p + 1, 17] {
+                let rows: Vec<Vec<f64>> = (0..blocks)
+                    .map(|b| (0..width).map(|j| value(b, j)).collect())
+                    .collect();
+                let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+                let expect = fold(&refs);
+                for policy in [None, Some((FaultPlan::new(0), 1))] {
+                    let tagged = policy.is_some();
+                    let out = run_supervised(p, Machine::cluster2002(), policy, |comm, sup| {
+                        // With a policy, deal the blocks out cyclically
+                        // so the root has to sort them back into order.
+                        let (lo, hi) =
+                            crate::partition::block_range(blocks, comm.size(), comm.rank());
+                        let owned: Vec<usize> = if tagged {
+                            (comm.rank()..blocks).step_by(comm.size()).collect()
+                        } else {
+                            (lo..hi).collect()
+                        };
+                        let mut local = Vec::new();
+                        for b in owned {
+                            local.push(b as f64);
+                            local.extend((0..width).map(|j| value(b, j)));
+                        }
+                        sup.fold_blocks(comm, &local, width, fold)
+                    })
+                    .unwrap();
+                    for s in &out.survivors {
+                        let bits: Vec<u64> = s.value.iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u64> = expect.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(bits, want, "p={p} blocks={blocks} policy={tagged}");
+                    }
+                }
+            }
+        }
     }
 }

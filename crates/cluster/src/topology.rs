@@ -1,10 +1,11 @@
-//! Logical topologies: rank↔coordinate maps and neighbour calculus.
+//! Logical topologies: which links are near, and hypercube neighbour
+//! calculus.
 //!
 //! The 2002-era machines exposed their interconnect topology to the
 //! programmer; algorithms were written against hypercubes, rings and
-//! meshes. These helpers keep that structure explicit — the collectives
-//! use the hypercube arithmetic internally, and the PDE/lattice
-//! decompositions are ring/mesh neighbourhoods.
+//! meshes. [`TopologyKind`] tells the cost model and the collective
+//! engine which messages cross the fabric; [`Hypercube`] is the
+//! rank arithmetic of a binary hypercube.
 
 /// Interconnect topology of a virtual machine, as seen by the cost
 /// model and the collective engine.
@@ -79,27 +80,6 @@ impl TopologyKind {
     }
 }
 
-/// A ring of `p` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ring {
-    /// Rank count.
-    pub size: usize,
-}
-
-impl Ring {
-    /// Successor rank.
-    pub fn next(&self, rank: usize) -> usize {
-        assert!(rank < self.size);
-        (rank + 1) % self.size
-    }
-
-    /// Predecessor rank.
-    pub fn prev(&self, rank: usize) -> usize {
-        assert!(rank < self.size);
-        (rank + self.size - 1) % self.size
-    }
-}
-
 /// A d-dimensional binary hypercube (`2^d` ranks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hypercube {
@@ -143,71 +123,9 @@ impl Hypercube {
     }
 }
 
-/// A 2-D mesh (no wraparound) of `rows × cols` ranks, row-major.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mesh2d {
-    /// Rows.
-    pub rows: usize,
-    /// Columns.
-    pub cols: usize,
-}
-
-impl Mesh2d {
-    /// Total ranks.
-    pub fn size(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// Rank → (row, col).
-    pub fn coords(&self, rank: usize) -> (usize, usize) {
-        assert!(rank < self.size());
-        (rank / self.cols, rank % self.cols)
-    }
-
-    /// (row, col) → rank.
-    pub fn rank_of(&self, row: usize, col: usize) -> usize {
-        assert!(row < self.rows && col < self.cols);
-        row * self.cols + col
-    }
-
-    /// The 2–4 mesh neighbours of a rank (N, S, W, E; no wraparound).
-    pub fn neighbors(&self, rank: usize) -> Vec<usize> {
-        let (r, c) = self.coords(rank);
-        let mut out = Vec::with_capacity(4);
-        if r > 0 {
-            out.push(self.rank_of(r - 1, c));
-        }
-        if r + 1 < self.rows {
-            out.push(self.rank_of(r + 1, c));
-        }
-        if c > 0 {
-            out.push(self.rank_of(r, c - 1));
-        }
-        if c + 1 < self.cols {
-            out.push(self.rank_of(r, c + 1));
-        }
-        out
-    }
-
-    /// Manhattan routing distance.
-    pub fn distance(&self, a: usize, b: usize) -> usize {
-        let (ar, ac) = self.coords(a);
-        let (br, bc) = self.coords(b);
-        ar.abs_diff(br) + ac.abs_diff(bc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ring_wraps() {
-        let r = Ring { size: 5 };
-        assert_eq!(r.next(4), 0);
-        assert_eq!(r.prev(0), 4);
-        assert_eq!(r.next(r.prev(3)), 3);
-    }
 
     #[test]
     fn hypercube_neighbors_differ_in_one_bit() {
@@ -239,24 +157,6 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn hypercube_rejects_non_power() {
         let _ = Hypercube::for_size(6);
-    }
-
-    #[test]
-    fn mesh_coords_roundtrip_and_neighbors() {
-        let m = Mesh2d { rows: 3, cols: 4 };
-        assert_eq!(m.size(), 12);
-        for rank in 0..12 {
-            let (r, c) = m.coords(rank);
-            assert_eq!(m.rank_of(r, c), rank);
-        }
-        // Corner has 2 neighbours, edge 3, interior 4.
-        assert_eq!(m.neighbors(0).len(), 2);
-        assert_eq!(m.neighbors(1).len(), 3);
-        assert_eq!(m.neighbors(5).len(), 4);
-        // Interior neighbours are at distance 1.
-        for n in m.neighbors(5) {
-            assert_eq!(m.distance(5, n), 1);
-        }
     }
 
     #[test]
@@ -300,12 +200,5 @@ mod tests {
         assert!(!t.is_far(0, 12));
         // (0,0) and (1,1) are two hops.
         assert!(t.is_far(0, 5));
-    }
-
-    #[test]
-    fn mesh_distance_is_manhattan() {
-        let m = Mesh2d { rows: 4, cols: 4 };
-        assert_eq!(m.distance(m.rank_of(0, 0), m.rank_of(3, 3)), 6);
-        assert_eq!(m.distance(5, 5), 0);
     }
 }

@@ -379,7 +379,7 @@ impl Portfolio {
 /// The ladder kernel covers every product of the group unless the
 /// config demands PSOR for an American product (PSOR iteration counts
 /// are payoff-dependent, so lanes would interact).
-pub(crate) fn ladder_eligible(cfg: &mdp_pde::Fd1d, products: &[Product]) -> bool {
+fn ladder_eligible(cfg: &mdp_pde::Fd1d, products: &[Product]) -> bool {
     let psor = matches!(cfg.american, AmericanMethod::Psor { .. });
     !psor
         || products

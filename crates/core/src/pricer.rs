@@ -17,9 +17,7 @@ use mdp_lattice::{
     TrinomialLattice,
 };
 use mdp_mc::{
-    cluster_driver::{
-        price_lsmc_cluster, price_lsmc_cluster_ft, price_mc_cluster, price_mc_cluster_ft,
-    },
+    cluster_driver::{price_lsmc_cluster, price_lsmc_cluster_ft, price_mc_cluster},
     lsmc::{price_lsmc, price_lsmc_rayon},
     qmc::price_qmc,
     LsmcConfig, McConfig, McEngine, McError, McPlan, QmcConfig,
@@ -30,11 +28,6 @@ use mdp_pde::{
     Fd1dPlan, Fd1dScratch, PdeError, Scheme, StencilKernel,
 };
 use std::fmt;
-
-/// Checkpoint boundaries used by the fault-tolerant Monte Carlo cluster
-/// driver when routed through [`Pricer`]: the block range is processed
-/// in this many batches, with a recovery boundary before each.
-const MC_FT_BATCHES: usize = 16;
 
 /// The pricing method (engine + its configuration).
 #[derive(Debug, Clone)]
@@ -733,25 +726,8 @@ impl Pricer {
                 (r.price, Some(r.std_error), None)
             }
             (Method::MonteCarlo(cfg), Backend::Cluster { ranks, machine, .. }) => {
-                match checkpoint {
-                    None => {
-                        let out = price_mc_cluster(market, product, *cfg, ranks, machine)?;
-                        (out.result.price, Some(out.result.std_error), Some(out.time))
-                    }
-                    Some((plan, k)) => {
-                        let out = price_mc_cluster_ft(
-                            market,
-                            product,
-                            *cfg,
-                            ranks,
-                            machine,
-                            plan,
-                            MC_FT_BATCHES,
-                            k,
-                        )?;
-                        (out.result.price, Some(out.result.std_error), Some(out.time))
-                    }
-                }
+                let out = price_mc_cluster(market, product, *cfg, ranks, machine, checkpoint)?;
+                (out.result.price, Some(out.result.std_error), Some(out.time))
             }
 
             (Method::Qmc(cfg), Backend::Sequential) => {

@@ -1,164 +1,106 @@
 //! Message-passing Monte Carlo drivers with virtual-time accounting.
 //!
-//! **European** ([`price_mc_cluster`]): rank `r` simulates its block range
-//! of the fixed block-substream partition, charges the machine model for
-//! the path work, and the ranks allreduce one 6-wide accumulator. The
-//! price equals the sequential engine's bit for bit; the virtual time
-//! gives experiments T3/F3 their near-ideal speedup curves (a single
-//! log₂p-deep reduction at the end of an arbitrarily large compute
-//! phase).
+//! **European** ([`price_mc_cluster`]): one SPMD body under an optional
+//! checkpoint policy `(FaultPlan, interval)`. Rank `r` simulates its
+//! share of the fixed block-substream partition, charges the machine
+//! model for the path work, and the per-block accumulators are folded
+//! in global block order at the root
+//! ([`mdp_cluster::Supervisor::fold_blocks`]), so the price equals the
+//! sequential engine's bit for bit. Without a policy each rank owns one
+//! contiguous block range and the untagged 6-wide accumulators go
+//! through the topology-aware gather: the virtual time gives
+//! experiments T3/F3 their near-ideal speedup curves (a single
+//! log₂p-deep collective at the end of an arbitrarily large compute
+//! phase). With a policy the block range runs in `MC_FT_BATCHES` (16)
+//! batches with a checkpoint/recovery boundary before each, and the
+//! accumulators travel tagged with their block ids.
 //!
 //! **LSMC** ([`price_lsmc_cluster`]): each rank owns a share of the path
 //! panel; every exercise date requires an allreduce of the
 //! normal-equation sums (`k² + k + 1` doubles) before any rank can make
 //! its exercise decisions. That per-step synchronisation is the serial
 //! fraction that separates the LSMC speedup curve from the European one
-//! (experiment T7).
+//! (experiment T7). [`price_lsmc_cluster_ft`] is its checkpointed
+//! counterpart, which folds per-block sums in block order instead.
 
 use crate::engine::{McConfig, McResult, RunContext};
-use crate::lsmc::{self, LsmcConfig, LsmcResult, RegressionSums};
+use crate::lsmc::{self, LsmcConfig, LsmcResult, RegressionSums, SweepState};
 use crate::variance::{merge_in_chunks, BlockAccum, ACCUM_WIDTH};
 use crate::McError;
-use mdp_cluster::checkpoint::{broadcast_active, gather_active};
 use mdp_cluster::{
-    partition, run_spmd_ft, CheckpointMode, CheckpointStore, CollectiveEngine, Communicator,
-    FaultPlan, Machine, Supervisor, TimeModel,
+    partition, run_spmd_ft, run_supervised, CheckpointMode, CheckpointStore, CollectiveEngine,
+    Communicator, FaultPlan, Machine, Supervisor, TimeModel,
 };
 use mdp_model::{GbmMarket, Product};
+
+/// Checkpoint boundaries of a European run under a checkpoint policy:
+/// the block range is processed in this many batches, with a recovery
+/// boundary before each.
+const MC_FT_BATCHES: usize = 16;
 
 /// Outcome of a distributed European Monte Carlo run.
 #[derive(Debug, Clone)]
 pub struct McClusterOutcome {
-    /// The estimate (identical to the sequential engine's).
+    /// The estimate (identical to the sequential engine's, through any
+    /// number of recoveries).
     pub result: McResult,
-    /// Virtual-time model of the run.
+    /// Virtual-time model of the run, crashed ranks' time included.
     pub time: TimeModel,
+    /// Injected crashes that fired, as `(rank, boundary)` pairs; empty
+    /// without a checkpoint policy.
+    pub crashed: Vec<(usize, usize)>,
 }
 
-/// Price a European product on `p` ranks under `machine`.
+/// Price a European product on `p` ranks under `machine`, optionally
+/// under a checkpoint policy `(fault plan, interval)`.
+///
+/// With a policy, a checkpoint persists this rank's per-block
+/// accumulators *tagged with their block ids* (7 doubles per block), so
+/// recovery can repartition completed blocks over the survivors without
+/// rerunning them. Block substreams make each block's accumulator
+/// owner-independent, and the root folds them in global block order,
+/// which keeps the estimate bit-identical to the sequential engine.
 pub fn price_mc_cluster(
     market: &GbmMarket,
     product: &Product,
     cfg: McConfig,
     p: usize,
     machine: Machine,
+    checkpoint: Option<(FaultPlan, usize)>,
 ) -> Result<McClusterOutcome, McError> {
     let ctx = RunContext::new(market, product, cfg)?;
     let work_per_path = cfg.path_work_units(market.dim());
-    let engine = CollectiveEngine::for_machine(&machine, p);
-    let results = mdp_cluster::run_spmd(p, machine, |comm| {
-        let blocks = ctx.num_blocks() as usize;
-        let (lo, hi) = partition::block_range(blocks, comm.size(), comm.rank());
-        // Keep per-block accumulators separate: the root folds them in
-        // global block order with the engine's canonical chunked
-        // association, which makes the result bit-identical to the
-        // sequential engine (floating-point addition is order-sensitive;
-        // a tree allreduce would differ in the last couple of ULPs).
-        let mut local = Vec::with_capacity((hi - lo) * ACCUM_WIDTH);
-        let mut paths = 0u64;
-        for b in lo..hi {
-            local.extend_from_slice(&ctx.simulate_block(b as u64).to_vec());
-            paths += ctx.config().block_paths(b as u64);
-        }
-        comm.compute_units(paths as f64 * work_per_path);
-        let gathered = engine.gather_varied(comm, 0, &local);
-        let mut merged = [0.0; ACCUM_WIDTH];
-        if let Some(parts) = gathered {
-            // Rank ranges are contiguous and ascending, so flattening the
-            // gathered parts restores global block order; merging via
-            // `merge_in_chunks` reproduces the sequential association.
-            let total = merge_in_chunks(
-                parts
-                    .iter()
-                    .flat_map(|part| part.chunks_exact(ACCUM_WIDTH))
-                    .map(BlockAccum::from_slice),
-            );
-            merged = total.to_vec();
-        }
-        engine.broadcast(comm, 0, &mut merged);
-        BlockAccum::from_slice(&merged)
-    })
-    .map_err(|e| McError::Unsupported(e.to_string()))?;
+    // Without a policy there is nothing to checkpoint between batches.
+    let batches = if checkpoint.is_some() {
+        MC_FT_BATCHES
+    } else {
+        1
+    };
 
-    let result = ctx.finish(&results[0].value);
-    let time = TimeModel::from_results(&results);
-    Ok(McClusterOutcome { result, time })
-}
-
-/// Outcome of a fault-tolerant distributed European Monte Carlo run.
-#[derive(Debug, Clone)]
-pub struct McClusterFtOutcome {
-    /// The estimate — bit-identical to the fault-free run.
-    pub result: McResult,
-    /// Virtual-time model, crashed ranks' time included.
-    pub time: TimeModel,
-    /// Injected crashes that fired, as `(rank, boundary)` pairs.
-    pub crashed: Vec<(usize, usize)>,
-}
-
-/// Fault-tolerant variant of [`price_mc_cluster`]: the global block
-/// range is processed in `batches` contiguous batches with a
-/// checkpoint/recovery boundary before each one. A checkpoint persists
-/// this rank's per-block accumulators *tagged with their block ids*
-/// (7 doubles per block), so recovery can repartition completed blocks
-/// over the survivors without rerunning them, and the root can fold
-/// the final accumulators in global block order — which is what keeps
-/// the estimate bit-identical to the sequential engine through any
-/// number of recoveries (block substreams make each block's accumulator
-/// owner-independent).
-#[allow(clippy::too_many_arguments)]
-pub fn price_mc_cluster_ft(
-    market: &GbmMarket,
-    product: &Product,
-    cfg: McConfig,
-    p: usize,
-    machine: Machine,
-    plan: FaultPlan,
-    batches: usize,
-    ckpt_interval: usize,
-) -> Result<McClusterFtOutcome, McError> {
-    if batches == 0 {
-        return Err(McError::Unsupported("batches must be >= 1".into()));
-    }
-    let ctx = RunContext::new(market, product, cfg)?;
-    let work_per_path = cfg.path_work_units(market.dim());
-    let store = CheckpointStore::new();
-
-    let outcome = run_spmd_ft(p, machine, plan, |comm| {
+    let outcome = run_supervised(p, machine, checkpoint, |comm, sup| {
         let blocks = ctx.num_blocks() as usize;
         let rank = comm.rank();
-        let mut sup = Supervisor::new(comm, ckpt_interval, &store);
-        // Completed blocks as (id, accum) pairs: [id, a0..a5] each.
+        // Completed blocks as (id, accum) rows: [id, a0..a5] each.
         let mut local: Vec<f64> = Vec::new();
 
         let mut t = 0usize; // completed batches == boundary index
         while t < batches {
             if let Some(rec) = sup.boundary(comm, t, || (0, local.clone())) {
                 // Roll back: pool every survivor's and the victim's
-                // completed (id, accum) pairs and repartition them over
-                // the active set by global block order.
+                // completed rows and repartition them over the active
+                // set by global block order.
                 let t0 = rec.from_step.expect("boundary 0 always checkpoints");
-                let mut entries: Vec<&[f64]> = rec
-                    .records
-                    .iter()
-                    .flat_map(|(_, r)| r.data.chunks_exact(1 + ACCUM_WIDTH))
-                    .collect();
-                entries.sort_by_key(|e| e[0] as u64);
-                let a = sup.active().len();
-                let i = sup.dense_index(rank);
-                let (elo, ehi) = partition::block_range(entries.len(), a, i);
-                local.clear();
-                for e in &entries[elo..ehi] {
-                    local.extend_from_slice(e);
-                }
+                let rows = rec.sorted_rows(ACCUM_WIDTH);
+                let (rlo, rhi) =
+                    partition::block_range(rows.len(), sup.active().len(), sup.dense_index(rank));
+                local = rows[rlo..rhi].concat();
                 t = t0;
                 continue; // re-enter boundary t0: fresh-era checkpoint
             }
             // Batch t's global block range, split over the active set.
             let (blo, bhi) = partition::block_range(blocks, batches, t);
-            let a = sup.active().len();
-            let i = sup.dense_index(rank);
-            let (mlo, mhi) = partition::block_range(bhi - blo, a, i);
+            let (mlo, mhi) =
+                partition::block_range(bhi - blo, sup.active().len(), sup.dense_index(rank));
             let mut paths = 0u64;
             for b in blo + mlo..blo + mhi {
                 local.push(b as f64);
@@ -169,30 +111,21 @@ pub fn price_mc_cluster_ft(
             t += 1;
         }
 
-        // Gather every (id, accum) pair to the first active rank, fold
-        // in global block order, broadcast the total.
-        let active = sup.active().to_vec();
-        let root = active[0];
-        let gathered = gather_active(comm, &active, root, &local);
-        let mut merged = vec![0.0; ACCUM_WIDTH];
-        if rank == root {
-            let mut entries: Vec<&[f64]> = gathered
-                .iter()
-                .flat_map(|part| part.chunks_exact(1 + ACCUM_WIDTH))
-                .collect();
-            entries.sort_by_key(|e| e[0] as u64);
-            debug_assert_eq!(entries.len(), blocks, "every block exactly once");
-            let total = merge_in_chunks(entries.iter().map(|e| BlockAccum::from_slice(&e[1..])));
-            merged = total.to_vec().to_vec();
-        }
-        let merged = broadcast_active(comm, &active, root, &merged);
+        // Fold in global block order with the engine's canonical chunked
+        // association: bit-identical to the sequential engine (a tree
+        // allreduce would differ in the last couple of ULPs).
+        let merged = sup.fold_blocks(comm, &local, ACCUM_WIDTH, |rows| {
+            debug_assert_eq!(rows.len(), blocks, "every block exactly once");
+            merge_in_chunks(rows.iter().map(|row| BlockAccum::from_slice(row)))
+                .to_vec()
+                .to_vec()
+        });
         BlockAccum::from_slice(&merged)
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;
 
-    let result = ctx.finish(&outcome.survivors[0].value);
-    Ok(McClusterFtOutcome {
-        result,
+    Ok(McClusterOutcome {
+        result: ctx.finish(&outcome.survivors[0].value),
         time: outcome.time_model(),
         crashed: outcome.crash_sites(),
     })
@@ -256,18 +189,24 @@ pub fn price_lsmc_cluster(
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;
 
-    let g = &results[0].value;
+    Ok(LsmcClusterOutcome {
+        result: lsmc_result(&results[0].value, market, product),
+        time: TimeModel::from_results(&results),
+    })
+}
+
+/// The LSMC estimate from global `[n, Σ, Σ²]` cashflow statistics,
+/// floored by immediate exercise.
+fn lsmc_result(g: &[f64], market: &GbmMarket, product: &Product) -> LsmcResult {
     let n = g[0];
     let mean = g[1] / n;
     let var = (g[2] - n * mean * mean) / (n - 1.0);
     let intrinsic = product.payoff.eval(market.spots());
-    let result = LsmcResult {
+    LsmcResult {
         price: mean.max(intrinsic),
         std_error: (var.max(0.0) / n).sqrt(),
         paths: n as u64,
-    };
-    let time = TimeModel::from_results(&results);
-    Ok(LsmcClusterOutcome { result, time })
+    }
 }
 
 /// Outcome of a fault-tolerant distributed LSMC run.
@@ -313,9 +252,7 @@ pub fn price_lsmc_cluster_ft(
 ) -> Result<LsmcClusterFtOutcome, McError> {
     lsmc::validate(market, product, &cfg)?;
     let d = market.dim();
-    let basis = mdp_math::poly::TensorBasis::new(d, cfg.degree, cfg.basis);
-    let k = basis.size();
-    let sums_width = k * k + k + 1;
+    let k = mdp_math::poly::TensorBasis::new(d, cfg.degree, cfg.basis).size();
     let sim_work = cfg.steps as f64 * ((d * d) as f64 / 2.0 + 8.0 * d as f64 + 6.0);
     let date_work = 2.0 * (d as f64 + (k * k) as f64);
     let store = CheckpointStore::new();
@@ -324,30 +261,21 @@ pub fn price_lsmc_cluster_ft(
         let blocks = lsmc::num_blocks(&cfg) as usize;
         let rank = comm.rank();
         let mut sup = Supervisor::new_with_mode(comm, ckpt_interval, &store, mode);
-        let dt = product.maturity / cfg.steps as f64;
-        let disc_dt = (-market.rate() * dt).exp();
-        let payoff = &product.payoff;
-        let spots0 = market.spots();
 
         // Initial partition: contiguous block range over the full set.
-        let (lo0, hi0) =
-            partition::block_range(blocks, sup.active().len(), sup.dense_index(rank));
+        let (lo0, hi0) = partition::block_range(blocks, sup.active().len(), sup.dense_index(rank));
         let (mut blo, mut bhi) = (lo0 as u64, hi0 as u64);
         let mut panel = lsmc::simulate_panel(market, product, &cfg, blo..bhi);
         comm.compute_units(panel.paths as f64 * sim_work);
+        let mut sweep = SweepState::terminal(market, product, &cfg, &panel);
 
-        // Terminal sweep state (identical math to `lsmc::backward_sweep`).
-        let mut cashflow: Vec<f64> = (0..panel.paths)
-            .map(|q| payoff.eval(&panel.spots[cfg.steps - 1][q * d..(q + 1) * d]))
-            .collect();
-        let mut cf_time: Vec<u32> = vec![cfg.steps as u32; panel.paths];
-
-        let mut phi = vec![0.0; k];
-        let mut x = vec![0.0; d];
         let mut j = 0usize; // processed dates == boundary index
         while j < cfg.steps - 1 {
             if let Some(rec) = sup.boundary(comm, j, || {
-                (blo as usize, encode_sweep_state(&cfg, blo, bhi, &cashflow, &cf_time))
+                (
+                    blo as usize,
+                    encode_sweep_state(&cfg, blo, bhi, &sweep.cashflow, &sweep.cf_time),
+                )
             }) {
                 // Roll back: restore every block's sweep state from the
                 // pooled records, repartition over the survivors and
@@ -363,83 +291,36 @@ pub fn price_lsmc_cluster_ft(
                 (blo, bhi) = (nlo as u64, nhi as u64);
                 panel = lsmc::simulate_panel(market, product, &cfg, blo..bhi);
                 comm.compute_units(panel.paths as f64 * sim_work);
-                cashflow.clear();
-                cf_time.clear();
+                sweep.cashflow.clear();
+                sweep.cf_time.clear();
                 for b in blo..bhi {
                     let (cf, ct) = pool.get(&b).expect("pool covers every block");
-                    cashflow.extend_from_slice(cf);
-                    cf_time.extend_from_slice(ct);
+                    sweep.cashflow.extend_from_slice(cf);
+                    sweep.cf_time.extend_from_slice(ct);
                 }
                 j = j0;
                 continue; // re-enter boundary j0: fresh-era checkpoint
             }
 
             let t = cfg.steps - 1 - j; // exercise date, steps−1 .. 1
-            let layer = &panel.spots[t - 1];
             // Per-block normal-equation sums (block-local path order is
             // fixed, so each block's sums are owner-independent).
-            let mut payload: Vec<f64> = Vec::new();
+            let mut rows: Vec<f64> = Vec::new();
             let mut off = 0usize;
             for b in blo..bhi {
                 let nb = lsmc::block_paths(&cfg, b) as usize;
-                let mut sums = RegressionSums::new(k);
-                for q in off..off + nb {
-                    let s = &layer[q * d..(q + 1) * d];
-                    let intrinsic = payoff.eval(s);
-                    if intrinsic > 0.0 {
-                        for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                            *xi = si / s0;
-                        }
-                        basis.eval(&x, &mut phi);
-                        let y = cashflow[q] * disc_dt.powi((cf_time[q] - t as u32) as i32);
-                        sums.push(&phi, y);
-                    }
-                }
-                payload.push(b as f64);
-                payload.extend(sums.to_vec());
+                rows.push(b as f64);
+                rows.extend(sweep.itm_sums(&panel, t, off..off + nb).to_vec());
                 off += nb;
             }
             comm.compute_units(panel.paths as f64 * date_work);
 
-            // Fold the per-block sums in global block order at the
-            // first active rank — a partition-independent association.
-            let active = sup.active().to_vec();
-            let root = active[0];
-            let gathered = gather_active(comm, &active, root, &payload);
-            let mut merged = vec![0.0; sums_width];
-            if rank == root {
-                let mut entries: Vec<&[f64]> = gathered
-                    .iter()
-                    .flat_map(|part| part.chunks_exact(1 + sums_width))
-                    .collect();
-                entries.sort_by_key(|e| e[0] as u64);
-                debug_assert_eq!(entries.len(), blocks, "every block exactly once");
-                for e in &entries {
-                    for (m, v) in merged.iter_mut().zip(&e[1..]) {
-                        *m += v;
-                    }
-                }
-            }
-            let merged = broadcast_active(comm, &active, root, &merged);
-
+            // Fold the per-block sums in global block order — a
+            // partition-independent association.
+            let width = k * k + k + 1;
+            let merged = sup.fold_blocks(comm, &rows, width, |sums| sum_rows(sums, width));
             if let Some(beta) = RegressionSums::from_slice(k, &merged).solve(cfg.ridge) {
-                // Exercise where intrinsic beats the fitted continuation.
-                for q in 0..panel.paths {
-                    let s = &layer[q * d..(q + 1) * d];
-                    let intrinsic = payoff.eval(s);
-                    if intrinsic > 0.0 {
-                        for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                            *xi = si / s0;
-                        }
-                        basis.eval(&x, &mut phi);
-                        let continuation: f64 =
-                            beta.iter().zip(&phi).map(|(b, f)| b * f).sum();
-                        if intrinsic >= continuation {
-                            cashflow[q] = intrinsic;
-                            cf_time[q] = t as u32;
-                        }
-                    }
-                }
+                sweep.exercise(&panel, t, &beta);
             }
             j += 1;
         }
@@ -447,57 +328,38 @@ pub fn price_lsmc_cluster_ft(
 
         // Final per-block [count, Σ, Σ²] over time-0 discounted
         // cashflows, folded in block order — partition-independent.
-        let discounted: Vec<f64> = cashflow
-            .iter()
-            .zip(&cf_time)
-            .map(|(cf, tt)| cf * disc_dt.powi(*tt as i32))
-            .collect();
-        let mut payload: Vec<f64> = Vec::new();
+        let discounted = sweep.discounted();
+        let mut rows: Vec<f64> = Vec::new();
         let mut off = 0usize;
         for b in blo..bhi {
             let nb = lsmc::block_paths(&cfg, b) as usize;
             let slice = &discounted[off..off + nb];
-            payload.push(b as f64);
-            payload.push(nb as f64);
-            payload.push(slice.iter().sum());
-            payload.push(slice.iter().map(|c| c * c).sum());
+            rows.push(b as f64);
+            rows.push(nb as f64);
+            rows.push(slice.iter().sum());
+            rows.push(slice.iter().map(|c| c * c).sum());
             off += nb;
         }
-        let active = sup.active().to_vec();
-        let root = active[0];
-        let gathered = gather_active(comm, &active, root, &payload);
-        let mut stats = vec![0.0; 3];
-        if rank == root {
-            let mut entries: Vec<&[f64]> = gathered
-                .iter()
-                .flat_map(|part| part.chunks_exact(4))
-                .collect();
-            entries.sort_by_key(|e| e[0] as u64);
-            for e in &entries {
-                stats[0] += e[1];
-                stats[1] += e[2];
-                stats[2] += e[3];
-            }
-        }
-        broadcast_active(comm, &active, root, &stats)
+        sup.fold_blocks(comm, &rows, 3, |stats| sum_rows(stats, 3))
     })
     .map_err(|e| McError::Unsupported(e.to_string()))?;
 
-    let g = &outcome.survivors[0].value;
-    let n = g[0];
-    let mean = g[1] / n;
-    let var = (g[2] - n * mean * mean) / (n - 1.0);
-    let intrinsic = product.payoff.eval(market.spots());
-    let result = LsmcResult {
-        price: mean.max(intrinsic),
-        std_error: (var.max(0.0) / n).sqrt(),
-        paths: n as u64,
-    };
     Ok(LsmcClusterFtOutcome {
-        result,
+        result: lsmc_result(&outcome.survivors[0].value, market, product),
         time: outcome.time_model(),
         crashed: outcome.crash_sites(),
     })
+}
+
+/// Element-wise sum of `width`-wide rows, left to right.
+fn sum_rows(rows: &[&[f64]], width: usize) -> Vec<f64> {
+    let mut acc = vec![0.0; width];
+    for row in rows {
+        for (a, v) in acc.iter_mut().zip(row.iter()) {
+            *a += v;
+        }
+    }
+    acc
 }
 
 /// Flatten per-block `(id, paths, cashflow, cf_time)` sweep state for a
@@ -566,7 +428,7 @@ mod tests {
         };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap();
         for ranks in [1usize, 2, 4, 5] {
-            let par = price_mc_cluster(&m, &p, cfg, ranks, Machine::ideal()).unwrap();
+            let par = price_mc_cluster(&m, &p, cfg, ranks, Machine::ideal(), None).unwrap();
             assert_eq!(
                 par.result.price.to_bits(),
                 seq.price.to_bits(),
@@ -585,8 +447,8 @@ mod tests {
             variance_reduction: VarianceReduction::Antithetic,
             ..Default::default()
         };
-        let a = price_mc_cluster(&m, &p, cfg, 2, Machine::cluster2002()).unwrap();
-        let b = price_mc_cluster(&m, &p, cfg, 7, Machine::cluster2002()).unwrap();
+        let a = price_mc_cluster(&m, &p, cfg, 2, Machine::cluster2002(), None).unwrap();
+        let b = price_mc_cluster(&m, &p, cfg, 7, Machine::cluster2002(), None).unwrap();
         assert_eq!(a.result.price.to_bits(), b.result.price.to_bits());
     }
 
@@ -598,11 +460,11 @@ mod tests {
             block_size: 1000,
             ..Default::default()
         };
-        let t1 = price_mc_cluster(&m, &p, cfg, 1, Machine::cluster2002())
+        let t1 = price_mc_cluster(&m, &p, cfg, 1, Machine::cluster2002(), None)
             .unwrap()
             .time
             .makespan;
-        let t8 = price_mc_cluster(&m, &p, cfg, 8, Machine::cluster2002())
+        let t8 = price_mc_cluster(&m, &p, cfg, 8, Machine::cluster2002(), None)
             .unwrap()
             .time
             .makespan;
@@ -625,11 +487,11 @@ mod tests {
             ..Default::default()
         };
         let sp = |cfg: McConfig| {
-            let t1 = price_mc_cluster(&m, &p, cfg, 1, Machine::cluster2002())
+            let t1 = price_mc_cluster(&m, &p, cfg, 1, Machine::cluster2002(), None)
                 .unwrap()
                 .time
                 .makespan;
-            let t8 = price_mc_cluster(&m, &p, cfg, 8, Machine::cluster2002())
+            let t8 = price_mc_cluster(&m, &p, cfg, 8, Machine::cluster2002(), None)
                 .unwrap()
                 .time
                 .makespan;
@@ -716,11 +578,11 @@ mod tests {
             t1 / t8
         };
         let s_mc = {
-            let t1 = price_mc_cluster(&m, &eu, mc_cfg, 1, Machine::cluster2002())
+            let t1 = price_mc_cluster(&m, &eu, mc_cfg, 1, Machine::cluster2002(), None)
                 .unwrap()
                 .time
                 .makespan;
-            let t8 = price_mc_cluster(&m, &eu, mc_cfg, 8, Machine::cluster2002())
+            let t8 = price_mc_cluster(&m, &eu, mc_cfg, 8, Machine::cluster2002(), None)
                 .unwrap()
                 .time
                 .makespan;
@@ -741,21 +603,17 @@ mod tests {
             ..Default::default()
         };
         let seq = McEngine::new(cfg).price(&m, &p).unwrap();
-        let ft = price_mc_cluster_ft(
-            &m,
-            &p,
-            cfg,
-            4,
-            Machine::cluster2002(),
-            mdp_cluster::FaultPlan::new(5),
-            8,
-            2,
-        )
-        .unwrap();
+        let policy = Some((mdp_cluster::FaultPlan::new(5), 2));
+        let ft = price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), policy).unwrap();
         assert_eq!(ft.result.price.to_bits(), seq.price.to_bits());
         assert_eq!(ft.result.paths, seq.paths);
         assert!(ft.crashed.is_empty());
         assert!(ft.time.total_ckpt_time > 0.0);
+        // Without a policy: no checkpoint charge, no crash sites.
+        let plain = price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), None).unwrap();
+        assert_eq!(plain.result.price.to_bits(), seq.price.to_bits());
+        assert_eq!(plain.time.total_ckpt_time, 0.0);
+        assert!(plain.crashed.is_empty());
     }
 
     #[test]
@@ -770,7 +628,7 @@ mod tests {
         for crash_at in [1usize, 4, 7] {
             let plan = mdp_cluster::FaultPlan::new(11).with_crash(2, crash_at);
             let ft =
-                price_mc_cluster_ft(&m, &p, cfg, 4, Machine::cluster2002(), plan, 8, 2).unwrap();
+                price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), Some((plan, 2))).unwrap();
             assert_eq!(
                 ft.result.price.to_bits(),
                 seq.price.to_bits(),
@@ -794,7 +652,7 @@ mod tests {
             .with_crash(0, 2)
             .with_crash(1, 4)
             .with_crash(2, 4);
-        let ft = price_mc_cluster_ft(&m, &p, cfg, 4, Machine::cluster2002(), plan, 6, 1).unwrap();
+        let ft = price_mc_cluster(&m, &p, cfg, 4, Machine::cluster2002(), Some((plan, 1))).unwrap();
         assert_eq!(ft.result.price.to_bits(), seq.price.to_bits());
         assert_eq!(ft.crashed.len(), 3);
     }
@@ -944,7 +802,7 @@ mod tests {
     fn errors_propagate() {
         let (m, _) = basket3();
         let am = Product::american(Payoff::MaxCall { strike: 100.0 }, 1.0);
-        assert!(price_mc_cluster(&m, &am, McConfig::default(), 2, Machine::ideal()).is_err());
+        assert!(price_mc_cluster(&m, &am, McConfig::default(), 2, Machine::ideal(), None).is_err());
         let eu = Product::european(Payoff::MaxCall { strike: 100.0 }, 1.0);
         assert!(price_lsmc_cluster(&m, &eu, LsmcConfig::default(), 2, Machine::ideal()).is_err());
     }

@@ -19,7 +19,7 @@ use crate::McError;
 use mdp_math::linalg::{Cholesky, Matrix};
 use mdp_math::poly::{BasisKind, TensorBasis};
 use mdp_math::rng::{NormalPolar, NormalSampler, Substreams, Xoshiro256StarStar};
-use mdp_model::{ExerciseStyle, GbmMarket, Product};
+use mdp_model::{ExerciseStyle, GbmMarket, Payoff, Product};
 
 /// Configuration of an LSMC run.
 #[derive(Debug, Clone, Copy)]
@@ -215,6 +215,114 @@ impl RegressionSums {
     }
 }
 
+/// The backward sweep's per-path state over a panel: each path's
+/// realised cashflow and the date index it is paid at, plus the
+/// regression and exercise steps that update them. The sequential
+/// sweep and the checkpointed cluster driver share it, so both run the
+/// same per-path arithmetic in the same order.
+pub(crate) struct SweepState<'a> {
+    payoff: &'a Payoff,
+    spots0: &'a [f64],
+    basis: TensorBasis,
+    disc_dt: f64,
+    phi: Vec<f64>,
+    x: Vec<f64>,
+    /// Per-path cashflow, valued at its payment date.
+    pub cashflow: Vec<f64>,
+    /// Per-path payment date index.
+    pub cf_time: Vec<u32>,
+}
+
+impl<'a> SweepState<'a> {
+    /// Terminal state: every path of `panel` pays its payoff at
+    /// maturity.
+    pub fn terminal(
+        market: &'a GbmMarket,
+        product: &'a Product,
+        cfg: &LsmcConfig,
+        panel: &PathPanel,
+    ) -> Self {
+        let d = panel.dim;
+        let basis = TensorBasis::new(d, cfg.degree, cfg.basis);
+        let k = basis.size();
+        let dt = product.maturity / cfg.steps as f64;
+        let last = &panel.spots[cfg.steps - 1];
+        SweepState {
+            payoff: &product.payoff,
+            spots0: market.spots(),
+            basis,
+            disc_dt: (-market.rate() * dt).exp(),
+            phi: vec![0.0; k],
+            x: vec![0.0; d],
+            cashflow: (0..panel.paths)
+                .map(|p| product.payoff.eval(&last[p * d..(p + 1) * d]))
+                .collect(),
+            cf_time: vec![cfg.steps as u32; panel.paths],
+        }
+    }
+
+    /// The intrinsic value at spots `s` when it is positive, with the
+    /// basis row of the normalised spots left in `self.phi`.
+    #[inline]
+    fn itm_basis(&mut self, s: &[f64]) -> Option<f64> {
+        let intrinsic = self.payoff.eval(s);
+        if intrinsic > 0.0 {
+            for (xi, (si, s0)) in self.x.iter_mut().zip(s.iter().zip(self.spots0)) {
+                *xi = si / s0;
+            }
+            self.basis.eval(&self.x, &mut self.phi);
+            Some(intrinsic)
+        } else {
+            None
+        }
+    }
+
+    /// Normal-equation sums at exercise date `t` over the in-the-money
+    /// paths among `paths`.
+    pub fn itm_sums(
+        &mut self,
+        panel: &PathPanel,
+        t: usize,
+        paths: std::ops::Range<usize>,
+    ) -> RegressionSums {
+        let d = panel.dim;
+        let layer = &panel.spots[t - 1];
+        let mut sums = RegressionSums::new(self.basis.size());
+        for p in paths {
+            if self.itm_basis(&layer[p * d..(p + 1) * d]).is_some() {
+                let y = self.cashflow[p] * self.disc_dt.powi((self.cf_time[p] - t as u32) as i32);
+                sums.push(&self.phi, y);
+            }
+        }
+        sums
+    }
+
+    /// Exercise at date `t` wherever intrinsic value beats the
+    /// continuation value fitted by `beta`.
+    pub fn exercise(&mut self, panel: &PathPanel, t: usize, beta: &[f64]) {
+        let d = panel.dim;
+        let layer = &panel.spots[t - 1];
+        for p in 0..panel.paths {
+            if let Some(intrinsic) = self.itm_basis(&layer[p * d..(p + 1) * d]) {
+                let continuation: f64 = beta.iter().zip(&self.phi).map(|(b, f)| b * f).sum();
+                if intrinsic >= continuation {
+                    self.cashflow[p] = intrinsic;
+                    self.cf_time[p] = t as u32;
+                }
+            }
+        }
+    }
+
+    /// Every path's cashflow discounted to time 0.
+    pub fn discounted(&self) -> Vec<f64> {
+        self.cashflow
+            .iter()
+            .zip(&self.cf_time)
+            .map(|(cf, t)| cf * self.disc_dt.powi(*t as i32))
+            .collect()
+    }
+}
+
 /// Run the backward LSMC sweep over a simulated panel, returning the
 /// final per-path discounted cashflows (valued at time 0).
 ///
@@ -232,66 +340,15 @@ pub fn backward_sweep<F>(
 where
     F: FnMut(usize, &RegressionSums) -> Option<Vec<f64>>,
 {
-    let d = panel.dim;
-    let n = panel.paths;
-    let dt = product.maturity / cfg.steps as f64;
-    let disc_dt = (-market.rate() * dt).exp();
-    let basis = TensorBasis::new(d, cfg.degree, cfg.basis);
-    let k = basis.size();
-    let payoff = &product.payoff;
-    let spots0 = market.spots();
-
-    // Terminal cashflows (discount factor measured from time 0).
-    let mut cashflow: Vec<f64> = (0..n)
-        .map(|p| payoff.eval(&panel.spots[cfg.steps - 1][p * d..(p + 1) * d]))
-        .collect();
-    let mut cf_time: Vec<u32> = vec![cfg.steps as u32; n];
-
-    let mut phi = vec![0.0; k];
-    let mut x = vec![0.0; d];
+    let mut sweep = SweepState::terminal(market, product, cfg, panel);
     // Backward over exercise dates t = steps−1 .. 1.
     for t in (1..cfg.steps).rev() {
-        let layer = &panel.spots[t - 1];
-        // Local regression sums over ITM paths.
-        let mut sums = RegressionSums::new(k);
-        for p in 0..n {
-            let s = &layer[p * d..(p + 1) * d];
-            let intrinsic = payoff.eval(s);
-            if intrinsic > 0.0 {
-                for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                    *xi = si / s0;
-                }
-                basis.eval(&x, &mut phi);
-                let y = cashflow[p] * disc_dt.powi((cf_time[p] - t as u32) as i32);
-                sums.push(&phi, y);
-            }
-        }
-        let Some(beta) = regress(t, &sums) else {
-            continue;
-        };
-        // Exercise where intrinsic beats the fitted continuation.
-        for p in 0..n {
-            let s = &layer[p * d..(p + 1) * d];
-            let intrinsic = payoff.eval(s);
-            if intrinsic > 0.0 {
-                for (xi, (si, s0)) in x.iter_mut().zip(s.iter().zip(spots0)) {
-                    *xi = si / s0;
-                }
-                basis.eval(&x, &mut phi);
-                let continuation: f64 = beta.iter().zip(&phi).map(|(b, f)| b * f).sum();
-                if intrinsic >= continuation {
-                    cashflow[p] = intrinsic;
-                    cf_time[p] = t as u32;
-                }
-            }
+        let sums = sweep.itm_sums(panel, t, 0..panel.paths);
+        if let Some(beta) = regress(t, &sums) {
+            sweep.exercise(panel, t, &beta);
         }
     }
-    // Discount every cashflow to time 0.
-    cashflow
-        .iter()
-        .zip(&cf_time)
-        .map(|(cf, t)| cf * disc_dt.powi(*t as i32))
-        .collect()
+    sweep.discounted()
 }
 
 /// Sequential LSMC pricing.

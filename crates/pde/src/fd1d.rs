@@ -590,85 +590,6 @@ impl Fd1dPlan {
         })
     }
 
-    /// Fused spot-scenario cube: price every product under every spot
-    /// scenario of the single asset in **one** backward sweep, with one
-    /// lane per `(scenario, product)` pair.
-    ///
-    /// A spot tick leaves the grid spacing, the operator coefficients
-    /// and the Thomas factors untouched ([`Fd1dPlan::apply_tick`]);
-    /// scenario lanes differ only through their shifted node placement
-    /// and hence their intrinsic panel — exactly like extra strikes in
-    /// a ladder. Every lane performs the per-element arithmetic of
-    /// [`Fd1dPlan::execute`] on a spot-ticked plan, so each price is
-    /// **bitwise-identical** to re-planning at that spot and executing,
-    /// while the factorisation and the sweep are paid once.
-    ///
-    /// Returns prices scenario-major: `prices[k * products.len() + j]`
-    /// is product `j` under `scenario_spots[k]`.
-    pub fn execute_spot_cube(
-        &self,
-        products: &[Product],
-        scenario_spots: &[f64],
-        scratch: &mut Fd1dLadderScratch,
-    ) -> Result<Fd1dLadderResult, PdeError> {
-        let np = products.len();
-        let w = np * scenario_spots.len();
-        if w == 0 {
-            return Ok(Fd1dLadderResult {
-                prices: Vec::new(),
-                nodes_processed: 0,
-            });
-        }
-        let m = self.cfg.space_points;
-        scratch.american.clear();
-        for _ in scenario_spots {
-            for product in products {
-                self.check_product(product)?;
-                let am = product.exercise == ExerciseStyle::American;
-                if am && matches!(self.cfg.american, AmericanMethod::Psor { .. }) {
-                    return Err(PdeError::Model(mdp_model::ModelError::Unsupported {
-                        engine: "1-D finite differences",
-                        why: "PSOR products cannot join a fused ladder".into(),
-                    }));
-                }
-                scratch.american.push(am);
-            }
-        }
-        scratch.intrinsic.resize(m * w, 0.0);
-        for (k, &spot) in scenario_spots.iter().enumerate() {
-            if !(spot > 0.0 && spot.is_finite()) {
-                return Err(PdeError::Model(mdp_model::ModelError::InvalidParameter {
-                    what: "spot",
-                    value: spot,
-                }));
-            }
-            // The scenario's node ladder: same dx (spot-independent),
-            // recentred on the scenario spot — what apply_tick rebuilds.
-            let grid = LogGrid::new(
-                spot,
-                self.market.vols()[0],
-                self.maturity,
-                self.cfg.width,
-                m,
-            );
-            let spots = grid.spots();
-            for (j, product) in products.iter().enumerate() {
-                let lane = k * np + j;
-                for (i, &s) in spots.iter().enumerate() {
-                    scratch.intrinsic[i * w + lane] = product.payoff.eval(&[s]);
-                }
-            }
-        }
-        let nodes = self.sweep_panel(w, scratch)?;
-        let prices = (0..w)
-            .map(|lane| scratch.values[self.grid.center * w + lane])
-            .collect();
-        Ok(Fd1dLadderResult {
-            prices,
-            nodes_processed: nodes,
-        })
-    }
-
     /// The fused backward θ-sweep over a `w`-lane panel whose intrinsic
     /// surface is already in `scratch.intrinsic` (lane-major, `m·w`)
     /// and whose exercise flags are in `scratch.american`. Fills
@@ -1102,30 +1023,6 @@ mod tests {
             .unwrap(),
             TickOutcome::Rebuilt
         );
-    }
-
-    #[test]
-    fn spot_cube_bitwise_equals_per_scenario_plans() {
-        let cfg = Fd1d::default();
-        let m0 = market();
-        let products = vec![call(95.0), call(105.0), put_am(100.0)];
-        let scenarios = [92.0, 100.0, 108.5];
-        let plan = cfg.plan(&m0, 1.0).unwrap();
-        let cube = plan
-            .execute_spot_cube(&products, &scenarios, &mut Fd1dLadderScratch::default())
-            .unwrap();
-        for (k, &spot) in scenarios.iter().enumerate() {
-            let mk = m0.with_spot(0, spot).unwrap();
-            let fresh = cfg.plan(&mk, 1.0).unwrap();
-            for (j, product) in products.iter().enumerate() {
-                let one = fresh.execute(product, &mut Fd1dScratch::default()).unwrap();
-                assert_eq!(
-                    cube.prices[k * products.len() + j].to_bits(),
-                    one.price.to_bits(),
-                    "scenario {k} product {j}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Host-time measurements complement the virtual-time model: sequential
 //! engine costs (tables T1/T3) are real wall-clock numbers measured
-//! here, with median-of-k repetition to tame scheduler noise.
+//! here, with best-of-k repetition to screen out scheduler noise.
 
 use std::time::Instant;
 
@@ -13,26 +13,9 @@ pub fn measure<T, F: FnOnce() -> T>(f: F) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// Median wall-clock seconds of `reps` calls (the result of the last
-/// call is returned so the work cannot be optimised away).
-pub fn measure_median<T, F: FnMut() -> T>(mut f: F, reps: usize) -> (T, f64) {
-    assert!(reps >= 1);
-    let mut times = Vec::with_capacity(reps);
-    let mut last = None;
-    for _ in 0..reps {
-        let (out, t) = measure(&mut f);
-        times.push(t);
-        last = Some(out);
-    }
-    times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (last.unwrap(), times[times.len() / 2])
-}
-
 /// Best (minimum) wall-clock seconds of `reps` calls. Scheduler and
 /// frequency noise only ever *add* time, so for a deterministic kernel
-/// the minimum is the most robust estimator of its true cost — use this
-/// for kernel-throughput comparisons, `measure_median` for end-to-end
-/// runs where the noise is part of the phenomenon.
+/// the minimum is the most robust estimator of its true cost.
 pub fn measure_best<T, F: FnMut() -> T>(mut f: F, reps: usize) -> (T, f64) {
     assert!(reps >= 1);
     let mut best = f64::INFINITY;
@@ -43,48 +26,6 @@ pub fn measure_best<T, F: FnMut() -> T>(mut f: F, reps: usize) -> (T, f64) {
         last = Some(out);
     }
     (last.unwrap(), best)
-}
-
-/// A running stopwatch with named laps.
-#[derive(Debug)]
-pub struct Stopwatch {
-    start: Instant,
-    laps: Vec<(String, f64)>,
-}
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-            laps: Vec::new(),
-        }
-    }
-
-    /// Record a lap (time since start or since the previous lap).
-    pub fn lap(&mut self, name: impl Into<String>) -> f64 {
-        let now = self.start.elapsed().as_secs_f64();
-        let prev: f64 = self.laps.iter().map(|(_, t)| t).sum();
-        let lap = now - prev;
-        self.laps.push((name.into(), lap));
-        lap
-    }
-
-    /// Total elapsed seconds.
-    pub fn elapsed(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// The recorded laps.
-    pub fn laps(&self) -> &[(String, f64)] {
-        &self.laps
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
 }
 
 #[cfg(test)]
@@ -99,19 +40,6 @@ mod tests {
     }
 
     #[test]
-    fn median_of_reps() {
-        let mut count = 0;
-        let (_, t) = measure_median(
-            || {
-                count += 1;
-            },
-            5,
-        );
-        assert_eq!(count, 5);
-        assert!(t >= 0.0);
-    }
-
-    #[test]
     fn best_of_reps() {
         let mut count = 0;
         let (_, t) = measure_best(
@@ -122,16 +50,5 @@ mod tests {
         );
         assert_eq!(count, 4);
         assert!(t >= 0.0);
-    }
-
-    #[test]
-    fn stopwatch_laps_sum_to_elapsed() {
-        let mut sw = Stopwatch::start();
-        let a = sw.lap("first");
-        let b = sw.lap("second");
-        assert!(a >= 0.0 && b >= 0.0);
-        assert_eq!(sw.laps().len(), 2);
-        let sum: f64 = sw.laps().iter().map(|(_, t)| t).sum();
-        assert!(sum <= sw.elapsed() + 1e-6);
     }
 }

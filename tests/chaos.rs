@@ -7,7 +7,7 @@
 //! never a hang, never a silently wrong number.
 
 use mdp_core::lattice::cluster::{price_cluster, Decomposition};
-use mdp_core::mc::cluster_driver::{price_mc_cluster, price_mc_cluster_ft};
+use mdp_core::mc::cluster_driver::price_mc_cluster;
 use mdp_core::pde::cluster::ClusterFd1d;
 use mdp_core::prelude::*;
 use proptest::prelude::*;
@@ -58,10 +58,10 @@ proptest! {
             1.0,
         );
         let cfg = McConfig { paths: 2_000, block_size: 125, ..Default::default() };
-        let reference = price_mc_cluster(&m, &prod, cfg, 4, Machine::cluster2002()).unwrap();
+        let reference = price_mc_cluster(&m, &prod, cfg, 4, Machine::cluster2002(), None).unwrap();
         let plan = FaultPlan::new(seed).with_crash(crash_rank, crash_step);
-        let ft = price_mc_cluster_ft(
-            &m, &prod, cfg, 4, Machine::cluster2002(), plan, 8, interval,
+        let ft = price_mc_cluster(
+            &m, &prod, cfg, 4, Machine::cluster2002(), Some((plan, interval)),
         ).unwrap();
         prop_assert_eq!(ft.result.price.to_bits(), reference.result.price.to_bits());
         prop_assert_eq!(ft.result.paths, reference.result.paths);
@@ -125,14 +125,14 @@ proptest! {
         );
 
         let mc_cfg = McConfig { paths: 1_000, block_size: 125, ..Default::default() };
-        let mc = price_mc_cluster_ft(
+        let mc = price_mc_cluster(
             &m2,
             &Product::european(
                 Payoff::BasketCall { weights: Product::equal_weights(2), strike: 100.0 },
                 1.0,
             ),
             // 16 batches: every scheduled crash boundary (≤ 8) fires.
-            mc_cfg, 3, Machine::cluster2002(), plan, 16, 2,
+            mc_cfg, 3, Machine::cluster2002(), Some((plan, 2)),
         );
         let err = mc.expect_err("all-crash mc run must fail");
         prop_assert!(

@@ -303,3 +303,101 @@ fn golden_fault_recovery() {
     assert_eq!(ft.time.total_retransmits, 60, "retransmissions");
     assert_eq!(ft.time.total_acks, 192, "acks");
 }
+
+#[test]
+fn golden_mc_cluster_times() {
+    // The Monte Carlo cluster driver's schedule, plain and checkpointed,
+    // and the checkpointed LSMC driver's price and schedule. The plain
+    // MC run gathers one 6-wide accumulator per block, untagged, through
+    // the topology-aware engine; the checkpointed run gathers 7-wide
+    // id-tagged rows over the survivors.
+    let m = market(3);
+    let p = Product::european(
+        Payoff::BasketCall {
+            weights: Product::equal_weights(3),
+            strike: 100.0,
+        },
+        1.0,
+    );
+    let cfg = McConfig {
+        paths: 16_000,
+        block_size: 500,
+        ..Default::default()
+    };
+    let plain = mdp_core::mc::cluster_driver::price_mc_cluster(
+        &m,
+        &p,
+        cfg,
+        4,
+        Machine::cluster2002(),
+        None,
+    )
+    .unwrap();
+    assert_pinned(plain.time.makespan, 0.00201528, "MC makespan p=4");
+    assert_eq!(plain.time.total_msgs, 6, "MC message count");
+    assert_eq!(plain.time.total_bytes, 1392, "MC message bytes");
+
+    // Rank 1 dies at batch boundary 5 of 16, interval 4: survivors roll
+    // back to the boundary-4 checkpoint and repartition its blocks.
+    let plan = FaultPlan::new(0).with_crash(1, 5);
+    let ft = mdp_core::mc::cluster_driver::price_mc_cluster(
+        &m,
+        &p,
+        cfg,
+        4,
+        Machine::cluster2002(),
+        Some((plan, 4)),
+    )
+    .unwrap();
+    assert_eq!(ft.result.price.to_bits(), plain.result.price.to_bits());
+    assert_pinned(
+        ft.time.makespan,
+        0.004579060000000002,
+        "MC recovery makespan crash(1,5) interval=4",
+    );
+    assert_eq!(ft.time.total_msgs, 16, "MC recovery message count");
+    assert_pinned(
+        ft.time.total_ckpt_time,
+        0.0008840800000000001,
+        "MC checkpoint time",
+    );
+    assert_eq!(ft.crashed, vec![(1, 5)]);
+
+    // Fault-free checkpointed LSMC: per-block regression sums folded in
+    // global block order, synchronous checkpoints every 4 dates.
+    let m1 = GbmMarket::single(100.0, 0.2, 0.0, 0.05).unwrap();
+    let put = Product::american(
+        Payoff::BasketPut {
+            weights: vec![1.0],
+            strike: 110.0,
+        },
+        1.0,
+    );
+    let lcfg = LsmcConfig {
+        paths: 4_000,
+        steps: 10,
+        block_size: 250,
+        ..Default::default()
+    };
+    let lsmc = mdp_core::mc::cluster_driver::price_lsmc_cluster_ft(
+        &m1,
+        &put,
+        lcfg,
+        4,
+        Machine::cluster2002(),
+        FaultPlan::new(5),
+        4,
+        mdp_core::cluster::CheckpointMode::Sync,
+    )
+    .unwrap();
+    assert_eq!(
+        lsmc.result.price.to_bits(),
+        0x4027c0d5ffd17742,
+        "LSMC ft price bits"
+    );
+    assert_pinned(
+        lsmc.time.makespan,
+        0.005959200000000001,
+        "LSMC ft makespan p=4 interval=4",
+    );
+}
