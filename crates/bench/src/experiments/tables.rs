@@ -194,10 +194,12 @@ pub fn t3b_batched_kernel_throughput(effort: Effort) {
 
 /// T4b — run-contiguous blocked lattice kernel vs the scalar oracle.
 ///
-/// Runs a full European max-call backward induction with the scalar
-/// per-node gather kernel and with the run-contiguous blocked kernel,
-/// checks the root values are bitwise identical, and records ns/node for
-/// both at d = 1..4. Besides the table, writes
+/// Runs a full European max-call and a full American min-put backward
+/// induction with the scalar per-node gather kernel and with the
+/// run-contiguous blocked kernel, checks the root values are bitwise
+/// identical, and records ns/node for both at d = 1..4; the American
+/// row shows what early exercise costs each kernel. Besides the table,
+/// writes
 /// `BENCH_lattice_kernel.json` into the output directory so CI can track
 /// the kernel's trajectory across PRs.
 pub fn t4b_lattice_kernel_throughput(effort: Effort) {
@@ -205,8 +207,16 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
     use mdp_perf::timing::measure_best;
 
     let mut t = Table::new(
-        "T4b: blocked BEG kernel vs scalar oracle — ns/node (European max-call)",
-        &["d", "N", "nodes", "scalar ns/node", "blocked ns/node", "speedup"],
+        "T4b: blocked BEG kernel vs scalar oracle — ns/node",
+        &[
+            "product",
+            "d",
+            "N",
+            "nodes",
+            "scalar ns/node",
+            "blocked ns/node",
+            "speedup",
+        ],
     );
     let cases: &[(usize, usize)] = match effort {
         Effort::Quick => &[(1, 1024), (2, 128), (3, 24), (4, 10)],
@@ -219,9 +229,18 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
     let mut json = String::from(
         "{\n  \"experiment\": \"t4b\",\n  \"unit\": \"ns_per_node\",\n  \"results\": [\n",
     );
-    for (i, &(d, n)) in cases.iter().enumerate() {
+    let products = [
+        ("max_call_eu", max_call()),
+        (
+            "min_put_am",
+            Product::american(Payoff::MinPut { strike: 100.0 }, 1.0),
+        ),
+    ];
+    let rows = cases
+        .iter()
+        .flat_map(|&case| products.iter().map(move |product| (case, product)));
+    for (i, ((d, n), (name, p))) in rows.enumerate() {
         let m = market(d);
-        let p = max_call();
         let dt = p.maturity / n as f64;
         let probs = branch_probabilities(&m, dt).expect("valid probabilities");
         let disc = (-m.rate() * dt).exp();
@@ -230,7 +249,7 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
         // fills the new layer; returns the root value so the two
         // variants can be compared bitwise.
         let run = |blocked: bool| -> f64 {
-            let term_ctx = StepCtx::new(&m, &p, n, n, &probs, disc);
+            let term_ctx = StepCtx::new(&m, p, n, n, &probs, disc);
             let term_row = term_ctx.row_cur();
             let mut values = vec![0.0; (n + 1) * term_row];
             let mut spare = vec![0.0; (n as u128).pow(d as u32) as usize];
@@ -239,7 +258,7 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
                 term_ctx.eval_terminal_slab(j0, out, &mut scratch);
             }
             for step in (0..n).rev() {
-                let ctx = StepCtx::new(&m, &p, n, step, &probs, disc);
+                let ctx = StepCtx::new(&m, p, n, step, &probs, disc);
                 let row_cur = ctx.row_cur();
                 let len = (step + 1) * row_cur;
                 for (j0, out) in spare[..len].chunks_mut(row_cur).enumerate() {
@@ -260,7 +279,7 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
         assert_eq!(
             root_s.to_bits(),
             root_b.to_bits(),
-            "kernels disagree at d={d}"
+            "kernels disagree for {name} at d={d}"
         );
         let ns_s = secs_s * 1e9 / nodes;
         let mut ns_b = secs_b * 1e9 / nodes;
@@ -275,9 +294,10 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
         let speedup = if d == 1 { 1.0 } else { ns_s / ns_b };
         assert!(
             speedup >= 1.0,
-            "blocked kernel regressed vs scalar at d={d}: {speedup:.2}x"
+            "blocked kernel regressed vs scalar for {name} at d={d}: {speedup:.2}x"
         );
         t.push(&[
+            name.to_string(),
             d.to_string(),
             n.to_string(),
             (nodes as u128).to_string(),
@@ -286,9 +306,14 @@ pub fn t4b_lattice_kernel_throughput(effort: Effort) {
             format!("{speedup:.2}"),
         ]);
         json.push_str(&format!(
-            "    {{\"d\": {d}, \"steps\": {n}, \"scalar_ns_per_node\": {ns_s:.1}, \
-             \"blocked_ns_per_node\": {ns_b:.1}, \"speedup\": {speedup:.2}}}{}\n",
-            if i + 1 < cases.len() { "," } else { "" },
+            "    {{\"product\": \"{name}\", \"d\": {d}, \"steps\": {n}, \
+             \"scalar_ns_per_node\": {ns_s:.1}, \"blocked_ns_per_node\": {ns_b:.1}, \
+             \"speedup\": {speedup:.2}}}{}\n",
+            if i + 1 < cases.len() * products.len() {
+                ","
+            } else {
+                ""
+            },
         ));
     }
     json.push_str("  ]\n}\n");
@@ -1670,9 +1695,10 @@ pub fn t11_serve(effort: Effort) {
 ///   pricing in `4d + 4` — which the cube cannot express; its speedup
 ///   carries that caveat.)
 /// * **MC scenario cube** — spot/vol/rate scenarios sharing one path
-///   sweep ([`RiskCube::price`]: normals drawn and correlated once,
-///   per-scenario re-walks) against the plan-per-scenario
-///   [`RiskCube::price_naive`] oracle, rows asserted bitwise-equal.
+///   sweep ([`RiskCube::price`]: normals drawn, correlated and walked
+///   once, each scenario re-walking only the assets it moves) against
+///   the plan-per-scenario [`RiskCube::price_naive`] oracle, rows
+///   asserted bitwise-equal.
 ///
 /// Timings take the best of `TICK_BENCH_REPS` repetitions per side.
 /// Writes `BENCH_tick.json` so CI can gate the tick and cube speedups
@@ -1831,7 +1857,8 @@ pub fn t12_tick_repricing(effort: Effort) {
     ]);
 
     // Part 2b: MC scenario cube — spot/vol/rate bumps share one path
-    // sweep (normals drawn and correlated once, per-scenario re-walks).
+    // sweep (normals drawn, correlated and walked once; each scenario
+    // re-walks only the assets it moves).
     let d = 3;
     let md = market(d);
     let paths = effort.scale64(100_000, 200_000);

@@ -7,8 +7,9 @@
 //!
 //! * **Monte Carlo** — spot/vol/rate scenarios share **one path sweep**
 //!   ([`mdp_mc::McPlan::execute_cube`]): each panel's normals are drawn
-//!   and correlated once, every scenario re-walks it with its own
-//!   drift/diffusion scalars and evaluates every payoff on it.
+//!   and correlated once and walked once on the base market; every
+//!   scenario re-walks only the assets it moves (one for a spot or vol
+//!   bump, all for a rate bump) and evaluates every payoff on the result.
 //! * **Everything else** (and the scenario kinds the fused kernel cannot
 //!   take, i.e. correlation scenarios) — the base [`GroupPlan`] is
 //!   cloned and **patched** per scenario via [`GroupPlan::apply_tick`],

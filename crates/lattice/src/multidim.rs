@@ -30,10 +30,13 @@
 //! shifts a run's start by one). [`StepCtx::compute_slab`] exploits
 //! this: instead of an odometer and `2^d` gathers per node, it performs
 //! `2^d` AXPY-style passes over whole runs, which the compiler
-//! vectorizes under the workspace's `target-cpu=x86-64-v3` pin. Every
-//! node still accumulates its branches in exactly the same order as the
-//! retained scalar oracle ([`StepCtx::compute_slab_scalar`]), so the
-//! blocked kernel is bitwise identical to it — the same
+//! vectorizes under the workspace's `target-cpu=x86-64-v3` pin, and
+//! evaluates the American exercise value over the whole run with
+//! [`mdp_model::Payoff::eval_rows`] (the run's outer spots are a fixed
+//! prefix, the innermost ladder the varying row). Every node still
+//! accumulates its branches and folds its payoff in exactly the same
+//! order as the retained scalar oracle ([`StepCtx::compute_slab_scalar`]),
+//! so the blocked kernel is bitwise identical to it — the same
 //! equality-by-construction discipline the batched MC kernel follows.
 
 // The slab kernels walk several strided arrays in lockstep; index loops
@@ -105,21 +108,26 @@ pub struct StepCtx<'a> {
     pub row_next: usize,
     /// Per-axis spot ladders at this step: `spots[i][jᵢ]`.
     spot_tables: Vec<Vec<f64>>,
+    /// `ln` of every spot-ladder entry, filled only for the geometric
+    /// family, whose row payoff reads logs ([`mdp_model::Payoff::eval_rows`]).
+    log_tables: Vec<Vec<f64>>,
     product: &'a Product,
     american: bool,
 }
 
 /// Reusable per-worker workspace for the slab kernels: the outer-axis
-/// odometer and the spot vector, hoisted out of the per-slab hot path so
-/// a driver allocates them once instead of once per slab.
+/// odometer, the run's fixed outer assets and the payoff accumulator
+/// row, hoisted out of the per-slab hot path so a driver allocates them
+/// once instead of once per slab.
 #[derive(Debug, Default, Clone)]
 pub struct StepScratch {
     /// Odometer over the middle axes `1..=d−2` (the run axis `d−1` and
     /// the slab axis 0 are not part of it).
     idx: Vec<usize>,
-    /// Spot vector handed to the payoff; axis `d−1` is rewritten per
-    /// node from the innermost spot ladder.
-    spot: Vec<f64>,
+    /// Payoff inputs of axes `0..d−1`, fixed along a run.
+    prefix: Vec<f64>,
+    /// Per-node accumulator of the row payoff.
+    acc: Vec<f64>,
 }
 
 impl StepScratch {
@@ -128,11 +136,13 @@ impl StepScratch {
         StepScratch::default()
     }
 
-    /// Size for dimension `d` and reset the odometer.
-    fn prepare(&mut self, d: usize) {
+    /// Size for dimension `d` and runs of `run_len` nodes, and reset the
+    /// odometer.
+    fn prepare(&mut self, d: usize, run_len: usize) {
         self.idx.clear();
         self.idx.resize(d.saturating_sub(2), 0);
-        self.spot.resize(d, 0.0);
+        self.prefix.resize(d - 1, 0.0);
+        self.acc.resize(run_len, 0.0);
     }
 }
 
@@ -154,16 +164,25 @@ pub fn spot_ladders(
     steps: usize,
     step: usize,
 ) -> Vec<Vec<f64>> {
-    let dt = maturity / steps as f64;
-    let sqdt = dt.sqrt();
     (0..market.dim())
-        .map(|i| {
-            let s0 = market.spots()[i];
-            let sig = market.vols()[i];
-            (0..=step)
-                .map(|j| s0 * (sig * sqdt * (2.0 * j as f64 - step as f64)).exp())
-                .collect()
-        })
+        .map(|i| asset_ladder(market, maturity, steps, step, i))
+        .collect()
+}
+
+/// Asset `i`'s ladder of [`spot_ladders`]; the ladders of different
+/// assets share no input, so a one-asset tick rebuilds only its own.
+fn asset_ladder(
+    market: &GbmMarket,
+    maturity: f64,
+    steps: usize,
+    step: usize,
+    i: usize,
+) -> Vec<f64> {
+    let sqdt = (maturity / steps as f64).sqrt();
+    let s0 = market.spots()[i];
+    let sig = market.vols()[i];
+    (0..=step)
+        .map(|j| s0 * (sig * sqdt * (2.0 * j as f64 - step as f64)).exp())
         .collect()
 }
 
@@ -224,6 +243,14 @@ impl<'a> StepCtx<'a> {
                 inner_strides[k] = inner_strides[k + 1] * next_pts;
             }
         }
+        let log_tables = if product.payoff.is_geometric() {
+            spot_tables
+                .iter()
+                .map(|t| t.iter().map(|s| s.ln()).collect())
+                .collect()
+        } else {
+            Vec::new()
+        };
         StepCtx {
             step,
             dim: d,
@@ -235,6 +262,7 @@ impl<'a> StepCtx<'a> {
             row_cur,
             row_next,
             spot_tables,
+            log_tables,
             product,
             american: product.exercise == ExerciseStyle::American,
         }
@@ -246,54 +274,63 @@ impl<'a> StepCtx<'a> {
     }
 
     /// Walk the axis-0 row `j0` of the current grid as innermost-axis
-    /// runs, calling `f(run, base, spot, inner_spots)` for each run:
+    /// runs, calling `f(run, base, prefix, inner, acc)` for each run:
     ///
     /// * `run` — the run's contiguous slice of `out` (length `step+1`,
     ///   or 1 when `d == 1`);
     /// * `base` — flat offset of the run's first child in the next
     ///   grid's inner index space (add a [`Self::branch_starts`] entry
     ///   to address one branch's children inside a two-row window);
-    /// * `spot` — the spot vector with axes `0..d−1` set; the callee
-    ///   writes axis `d−1` per node from
-    /// * `inner_spots` — the innermost spot ladder aligned with `run`.
+    /// * `prefix` — the payoff inputs of axes `0..d−1`, fixed along the
+    ///   run, and `inner` — the innermost axis's inputs aligned with
+    ///   `run`: spots, or their logs for the geometric family, in the
+    ///   layout [`mdp_model::Payoff::eval_rows`] takes;
+    /// * `acc` — that evaluator's accumulator scratch.
     ///
     /// Both the backward-induction kernel and the terminal evaluation
     /// iterate spots through this single walker, so the layout invariant
     /// lives in exactly one place.
     fn for_each_run<F>(&self, j0: usize, out: &mut [f64], scratch: &mut StepScratch, mut f: F)
     where
-        F: FnMut(&mut [f64], usize, &mut [f64], &[f64]),
+        F: FnMut(&mut [f64], usize, &[f64], &[f64], &mut [f64]),
     {
         debug_assert_eq!(out.len(), self.row_cur);
         let d = self.dim;
         let pts = self.step + 1; // points per inner axis in current grid
-        let (run_len, inner_spots): (usize, &[f64]) = if d == 1 {
-            // No inner axes: the slab is a single node and the "run
-            // spot" is axis 0 itself at this slab's index.
-            (1, &self.spot_tables[0][j0..=j0])
+        let tables = if self.log_tables.is_empty() {
+            &self.spot_tables
         } else {
-            (pts, &self.spot_tables[d - 1][..pts])
+            &self.log_tables
         };
-        scratch.prepare(d);
-        let StepScratch { idx, spot } = scratch;
-        spot[0] = self.spot_tables[0][j0];
+        let (run_len, inner): (usize, &[f64]) = if d == 1 {
+            // No inner axes: the slab is a single node and the run's
+            // one varying asset is axis 0 itself at this slab's index.
+            (1, &tables[0][j0..=j0])
+        } else {
+            (pts, &tables[d - 1][..pts])
+        };
+        scratch.prepare(d, run_len);
+        let StepScratch { idx, prefix, acc } = scratch;
+        if d > 1 {
+            prefix[0] = tables[0][j0];
+        }
         for k in 1..d.saturating_sub(1) {
-            spot[k] = self.spot_tables[k][0];
+            prefix[k] = tables[k][0];
         }
         // `base` advances incrementally with the middle-axis odometer.
         let mut base = 0usize;
         for run in out.chunks_mut(run_len) {
-            f(run, base, spot, inner_spots);
+            f(run, base, prefix, inner, acc);
             for k in (0..idx.len()).rev() {
                 idx[k] += 1;
                 if idx[k] < pts {
                     base += self.inner_strides[k];
-                    spot[k + 1] = self.spot_tables[k + 1][idx[k]];
+                    prefix[k + 1] = tables[k + 1][idx[k]];
                     break;
                 }
                 idx[k] = 0;
                 base -= (pts - 1) * self.inner_strides[k];
-                spot[k + 1] = self.spot_tables[k + 1][0];
+                prefix[k + 1] = tables[k + 1][0];
             }
         }
     }
@@ -305,7 +342,9 @@ impl<'a> StepCtx<'a> {
     /// concatenated (`2·row_next` values); `out` receives `row_cur`
     /// values. Bitwise identical to [`Self::compute_slab_scalar`]: each
     /// node accumulates its `2^d` branches in the same order, only
-    /// restructured into contiguous per-branch passes over whole runs.
+    /// restructured into contiguous per-branch passes over whole runs,
+    /// and American early exercise takes `max(disc·v, payoff)` over the
+    /// whole run through the row payoff evaluator.
     pub fn compute_slab(
         &self,
         j0: usize,
@@ -321,7 +360,8 @@ impl<'a> StepCtx<'a> {
             // the same arithmetic, hence the same bits.
             return self.compute_slab_scalar(j0, next_two_rows, out);
         }
-        self.for_each_run(j0, out, scratch, |run, base, spot, inner_spots| {
+        let disc = self.disc;
+        self.for_each_run(j0, out, scratch, |run, base, prefix, inner, acc| {
             run.fill(0.0);
             for (p, start) in self.probs.iter().zip(&self.branch_starts) {
                 let src = &next_two_rows[start + base..][..run.len()];
@@ -329,15 +369,15 @@ impl<'a> StepCtx<'a> {
                     *o += p * s;
                 }
             }
-            let last = spot.len() - 1;
             if self.american {
-                for (o, s_in) in run.iter_mut().zip(inner_spots) {
-                    spot[last] = *s_in;
-                    *o = (self.disc * *o).max(self.product.payoff.eval(spot));
-                }
+                self.product
+                    .payoff
+                    .eval_rows(prefix, inner, inner.len(), acc, run, |v, ex| {
+                        (disc * v).max(ex)
+                    });
             } else {
                 for o in run.iter_mut() {
-                    *o *= self.disc;
+                    *o *= disc;
                 }
             }
         });
@@ -389,12 +429,10 @@ impl<'a> StepCtx<'a> {
     /// step N where there is no continuation value). Shares the
     /// run-contiguous spot iteration with [`Self::compute_slab`].
     pub fn eval_terminal_slab(&self, j0: usize, out: &mut [f64], scratch: &mut StepScratch) {
-        self.for_each_run(j0, out, scratch, |run, _base, spot, inner_spots| {
-            let last = spot.len() - 1;
-            for (o, s_in) in run.iter_mut().zip(inner_spots) {
-                spot[last] = *s_in;
-                *o = self.product.payoff.eval(spot);
-            }
+        self.for_each_run(j0, out, scratch, |run, _base, prefix, inner, acc| {
+            self.product
+                .payoff
+                .eval_rows(prefix, inner, inner.len(), acc, run, |_, y| y);
         });
     }
 }
@@ -579,10 +617,10 @@ impl LatticePlan {
     /// Absorb one market tick, rebuilding only the invalidated tables:
     ///
     /// * **Spot** — the branch probabilities (drift/vol/correlation
-    ///   only) and the per-step discount survive; only the spot ladders
-    ///   are recomputed.
-    /// * **Vol** — probabilities and ladders are rebuilt; the discount
-    ///   survives.
+    ///   only) and the per-step discount survive; only the ticked
+    ///   asset's spot ladders are recomputed.
+    /// * **Vol** — probabilities and the ticked asset's ladders are
+    ///   rebuilt; the discount survives.
     /// * **Rate** — probabilities and the discount are rebuilt; the
     ///   ladders survive.
     /// * **Correlation** — only the probabilities are rebuilt.
@@ -595,16 +633,10 @@ impl LatticePlan {
         let market = self.market.apply_delta(delta).map_err(LatticeError::Model)?;
         let dt = self.maturity / self.lat.steps as f64;
         match delta {
-            MarketDelta::Spot { .. } => {
-                self.ladders = (0..=self.lat.steps)
-                    .map(|step| spot_ladders(&market, self.maturity, self.lat.steps, step))
-                    .collect();
-            }
-            MarketDelta::Vol { .. } => {
+            MarketDelta::Spot { asset, .. } => self.rebuild_ladder(&market, *asset),
+            MarketDelta::Vol { asset, .. } => {
                 let probs = branch_probabilities(&market, dt)?;
-                self.ladders = (0..=self.lat.steps)
-                    .map(|step| spot_ladders(&market, self.maturity, self.lat.steps, step))
-                    .collect();
+                self.rebuild_ladder(&market, *asset);
                 self.probs = probs;
             }
             MarketDelta::Rate { .. } => {
@@ -617,6 +649,14 @@ impl LatticePlan {
         }
         self.market = market;
         Ok(TickOutcome::Patched)
+    }
+
+    /// Recompute asset `i`'s ladder at every step for `market`.
+    fn rebuild_ladder(&mut self, market: &GbmMarket, i: usize) {
+        let steps = self.lat.steps;
+        for (step, ladders) in self.ladders.iter_mut().enumerate() {
+            ladders[i] = asset_ladder(market, self.maturity, steps, step, i);
+        }
     }
 
     /// Run planned backward induction for one product. Bitwise-identical
@@ -849,7 +889,8 @@ mod tests {
     }
 
     /// Sweep every slab of one backward step with both kernels and
-    /// demand bitwise-equal rows.
+    /// demand bitwise-equal rows, after checking the terminal layer
+    /// node by node against `Payoff::eval`.
     fn assert_kernels_agree(d: usize, steps: usize, product: &Product) {
         let m = GbmMarket::symmetric(d, 100.0, 0.25, 0.01, 0.04, 0.2).unwrap();
         let dt = product.maturity / steps as f64;
@@ -863,6 +904,19 @@ mod tests {
         let mut next = vec![0.0; (steps + 1) * row_next];
         for (j0, out) in next.chunks_mut(row_next).enumerate() {
             next_ctx.eval_terminal_slab(j0, out, &mut scratch);
+        }
+        // Terminal layer: node `k` (row-major, axis 0 outermost) has
+        // up-move counts given by the base-(steps+1) digits of `k`.
+        let ladders = spot_ladders(&m, product.maturity, steps, steps);
+        let mut spot = vec![0.0; d];
+        for (k, v) in next.iter().enumerate() {
+            let mut rest = k;
+            for i in (0..d).rev() {
+                spot[i] = ladders[i][rest % (steps + 1)];
+                rest /= steps + 1;
+            }
+            let want = product.payoff.eval(&spot);
+            assert_eq!(v.to_bits(), want.to_bits(), "d={d} terminal node {k}");
         }
         let row_cur = ctx.row_cur();
         let mut blocked = vec![0.0; row_cur];
@@ -881,6 +935,38 @@ mod tests {
         }
     }
 
+    /// Every terminal payoff family at dimension `d`: baskets with
+    /// unequal weights, and the two-asset exchange and spread at d=2.
+    fn terminal_families(d: usize) -> Vec<Payoff> {
+        let weights: Vec<f64> = (0..d).map(|i| 0.7 / (i + 1) as f64).collect();
+        let mut payoffs = vec![
+            Payoff::BasketCall {
+                weights: weights.clone(),
+                strike: 60.0,
+            },
+            Payoff::BasketPut {
+                weights: weights.clone(),
+                strike: 80.0,
+            },
+            Payoff::DigitalBasketCall {
+                weights,
+                strike: 70.0,
+                cash: 5.0,
+            },
+            Payoff::GeometricCall { strike: 98.0 },
+            Payoff::GeometricPut { strike: 104.0 },
+            Payoff::MaxCall { strike: 100.0 },
+            Payoff::MaxPut { strike: 112.0 },
+            Payoff::MinCall { strike: 92.0 },
+            Payoff::MinPut { strike: 110.0 },
+        ];
+        if d == 2 {
+            payoffs.push(Payoff::Exchange);
+            payoffs.push(Payoff::SpreadCall { strike: 3.0 });
+        }
+        payoffs
+    }
+
     #[test]
     fn blocked_kernel_matches_scalar_oracle_european() {
         for (d, steps) in [(1usize, 9usize), (2, 8), (3, 6), (4, 5)] {
@@ -895,11 +981,9 @@ mod tests {
     #[test]
     fn blocked_kernel_matches_scalar_oracle_american() {
         for (d, steps) in [(1usize, 9usize), (2, 8), (3, 6), (4, 5)] {
-            assert_kernels_agree(
-                d,
-                steps,
-                &Product::american(Payoff::MinPut { strike: 110.0 }, 1.0),
-            );
+            for payoff in terminal_families(d) {
+                assert_kernels_agree(d, steps, &Product::american(payoff, 1.0));
+            }
         }
     }
 

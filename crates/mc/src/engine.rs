@@ -573,15 +573,18 @@ impl McPlan {
         let mut sampler = NormalPolar::new();
         let mut panel = SoaPanel::new(&self.stepper, PANEL);
         let mut scratch = PanelScratch::new(self.stepper.dim, PANEL);
-        let d = self.stepper.dim;
+        let logs = payoffs.iter().any(|p| p.is_geometric());
         let total = self.cfg.block_paths(block);
         let mut done = 0u64;
         while done < total {
             let n = (total - done).min(PANEL as u64) as usize;
             panel.fill_normals(&mut sampler, &mut rng, n);
             walk_panel_terminal(&self.stepper, &self.log0, &mut panel, n);
+            if logs {
+                scratch.fill_logs(&panel, n);
+            }
             for (payoff, acc) in payoffs.iter().zip(accs.iter_mut()) {
-                eval_terminal_walked(payoff, &panel, &mut scratch, d, n);
+                eval_terminal_walked(payoff, &panel, &mut scratch, n);
                 for lane in 0..n {
                     acc.push(self.disc * scratch.ys[lane]);
                 }
@@ -695,10 +698,11 @@ impl McPlan {
         Ok(TickOutcome::Patched)
     }
 
-    /// Simulate one substream block once, correlate its normals once,
-    /// and walk the panel once **per scenario**, evaluating every payoff
-    /// on each walk. `accs` is scenario-major: `accs[s·k + p]` receives
-    /// payoff `p` under scenario `s`, in the exact lane order
+    /// Simulate one substream block once, correlate its normals once and
+    /// walk the panel once on the base market; each scenario then
+    /// re-walks only the assets it moves, evaluates every payoff, and
+    /// restores those rows. `accs` is scenario-major: `accs[s·k + p]`
+    /// receives payoff `p` under scenario `s`, in the exact lane order
     /// [`McPlan::simulate_block_multi`] would produce for a plan ticked
     /// to that scenario.
     fn simulate_block_cube(
@@ -714,25 +718,48 @@ impl McPlan {
         let mut panel = SoaPanel::new(&self.stepper, PANEL);
         let mut scratch = PanelScratch::new(self.stepper.dim, PANEL);
         let mut tmp = Vec::new();
-        let d = self.stepper.dim;
+        let logs = payoffs.iter().any(|p| p.is_geometric());
+        let mut base_spots = vec![0.0; self.stepper.dim * PANEL];
+        let mut base_logs = base_spots.clone();
         let k = payoffs.len();
         let total = self.cfg.block_paths(block);
         let mut done = 0u64;
         while done < total {
             let n = (total - done).min(PANEL as u64) as usize;
             panel.fill_normals(&mut sampler, &mut rng, n);
-            // Pay the triangular correlate once; every scenario walk
-            // below reuses the same w rows (sound because the scenario
-            // Cholesky factors were checked bitwise-equal to the base).
+            // Pay the triangular correlate once; every walk below reuses
+            // the same w rows (sound because the scenario Cholesky
+            // factors were checked bitwise-equal to the base).
             self.stepper.correlate_panel_in_place(&mut panel, n, &mut tmp);
+            self.stepper
+                .walk_correlated_terminal(&self.log0, &mut panel, n);
+            base_spots.copy_from_slice(panel.spot_rows());
+            if logs {
+                scratch.fill_logs(&panel, n);
+                base_logs.copy_from_slice(&scratch.logs);
+            }
             for (si, scen) in scens.iter().enumerate() {
-                scen.stepper
-                    .walk_correlated_terminal(&scen.log0, &mut panel, n);
+                for &i in &scen.moved {
+                    scen.stepper
+                        .walk_correlated_row(i, scen.log0[i], &mut panel, n);
+                    if logs {
+                        scratch.fill_log_row(&panel, i, n);
+                    }
+                }
                 for (pi, payoff) in payoffs.iter().enumerate() {
-                    eval_terminal_walked(payoff, &panel, &mut scratch, d, n);
+                    eval_terminal_walked(payoff, &panel, &mut scratch, n);
                     let acc = &mut accs[si * k + pi];
                     for lane in 0..n {
                         acc.push(scen.disc * scratch.ys[lane]);
+                    }
+                }
+                for &i in &scen.moved {
+                    let row = i * PANEL..(i + 1) * PANEL;
+                    panel
+                        .spot_row_mut(i)
+                        .copy_from_slice(&base_spots[row.clone()]);
+                    if logs {
+                        scratch.logs[row.clone()].copy_from_slice(&base_logs[row]);
                     }
                 }
             }
@@ -742,9 +769,12 @@ impl McPlan {
 
     /// Price a book of products under **K market scenarios over one
     /// shared path sweep**: each block's normals are drawn and
-    /// correlated once, then every scenario re-walks the panel with its
-    /// own drift/diffusion scalars and log-spots and evaluates every
-    /// payoff on it.
+    /// correlated once and each panel is walked once on the plan's
+    /// market. Every scenario then re-walks only the assets whose
+    /// log-spot, drift or diffusion bits differ from the plan's (one
+    /// asset for a spot or vol bump, every asset for a rate bump) with
+    /// its own scalars, evaluates every payoff, and restores those rows
+    /// for the next scenario.
     ///
     /// Results are scenario-major: `out[s][p]` is product `p` under
     /// `scenarios[s]`, **bitwise-identical** to
@@ -788,9 +818,17 @@ impl McPlan {
                             .into(),
                     ));
                 }
+                let log0: Vec<f64> = scen.spots().iter().map(|s| s.ln()).collect();
+                let moved = (0..log0.len())
+                    .filter(|&i| {
+                        log0[i].to_bits() != self.log0[i].to_bits()
+                            || !stepper.same_asset_walk(&self.stepper, i)
+                    })
+                    .collect();
                 Ok(CubeScenario {
                     stepper,
-                    log0: scen.spots().iter().map(|s| s.ln()).collect(),
+                    log0,
+                    moved,
                     disc: scen.discount(self.maturity),
                 })
             })
@@ -853,11 +891,14 @@ impl McPlan {
 
 /// Per-scenario planned state of one lane of a scenario cube: the
 /// retuned stepper (sharing the base Cholesky bits), log-spots and
-/// discount factor for one scenario market.
+/// discount factor for one scenario market, and the assets whose walk
+/// differs from the base plan's (a differing log-spot, drift or
+/// diffusion bit; every asset for a rate scenario).
 #[derive(Debug, Clone)]
 struct CubeScenario {
     stepper: GbmStepper,
     log0: Vec<f64>,
+    moved: Vec<usize>,
     disc: f64,
 }
 
@@ -1097,10 +1138,59 @@ mod tests {
                 1,
             ),
             (
-                m3,
+                m3.clone(),
                 Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0),
                 VarianceReduction::Antithetic,
                 4,
+            ),
+            (
+                m3.clone(),
+                Product::european(
+                    Payoff::BasketPut {
+                        weights: vec![0.5, 0.3, 0.2],
+                        strike: 100.0,
+                    },
+                    1.0,
+                ),
+                VarianceReduction::None,
+                1,
+            ),
+            (
+                m3.clone(),
+                Product::european(Payoff::GeometricCall { strike: 98.0 }, 1.0),
+                VarianceReduction::None,
+                1,
+            ),
+            (
+                m3.clone(),
+                Product::european(Payoff::GeometricPut { strike: 102.0 }, 1.0),
+                VarianceReduction::None,
+                2,
+            ),
+            (
+                m3.clone(),
+                Product::european(Payoff::MinCall { strike: 90.0 }, 1.0),
+                VarianceReduction::None,
+                1,
+            ),
+            (
+                m3,
+                Product::european(
+                    Payoff::DigitalBasketCall {
+                        weights: vec![0.2, 0.5, 0.3],
+                        strike: 100.0,
+                        cash: 10.0,
+                    },
+                    1.0,
+                ),
+                VarianceReduction::None,
+                1,
+            ),
+            (
+                GbmMarket::symmetric(2, 100.0, 0.3, 0.0, 0.04, 0.5).unwrap(),
+                Product::european(Payoff::Exchange, 1.0),
+                VarianceReduction::None,
+                1,
             ),
             (
                 m1.clone(),
@@ -1544,39 +1634,54 @@ mod lookback_engine_tests {
 
     #[test]
     fn cube_bitwise_equals_per_scenario_ticked_plans() {
-        let m = GbmMarket::symmetric(3, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
-        let products = vec![
-            Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0),
-            Product::european(
-                Payoff::BasketCall {
-                    weights: Product::equal_weights(3),
-                    strike: 100.0,
-                },
-                1.0,
-            ),
-            Product::european(Payoff::MinPut { strike: 95.0 }, 1.0),
-        ];
-        let eng = McEngine::new(McConfig {
-            paths: 8_000,
-            block_size: 1000,
-            ..Default::default()
-        });
-        let plan = eng.plan(&m, 1.0).unwrap();
-        let scenarios = vec![
-            m.with_spot(0, 101.0).unwrap(),
-            m.with_vol(1, 0.31).unwrap(),
-            m.with_rate(0.05).unwrap(),
-            m.clone(),
-        ];
-        for parallel in [false, true] {
-            let cube = plan.execute_cube(&products, &scenarios, parallel).unwrap();
-            assert_eq!(cube.len(), scenarios.len());
-            for (scen, row) in scenarios.iter().zip(&cube) {
-                let naive = eng.plan(scen, 1.0).unwrap().execute_multi(&products, false).unwrap();
-                for (a, b) in row.iter().zip(&naive) {
-                    assert_eq!(a.price.to_bits(), b.price.to_bits());
-                    assert_eq!(a.std_error.to_bits(), b.std_error.to_bits());
-                    assert_eq!(a.paths, b.paths);
+        for d in [1usize, 3, 5] {
+            let m = GbmMarket::symmetric(d, 100.0, 0.25, 0.01, 0.04, 0.3).unwrap();
+            let products = vec![
+                Product::european(Payoff::MaxCall { strike: 105.0 }, 1.0),
+                Product::european(
+                    Payoff::BasketCall {
+                        weights: (0..d).map(|i| 1.0 / (i + 2) as f64).collect(),
+                        strike: 60.0,
+                    },
+                    1.0,
+                ),
+                Product::european(Payoff::MinPut { strike: 95.0 }, 1.0),
+                Product::european(Payoff::GeometricCall { strike: 100.0 }, 1.0),
+            ];
+            let eng = McEngine::new(McConfig {
+                paths: 3_000,
+                block_size: 1000,
+                ..Default::default()
+            });
+            let plan = eng.plan(&m, 1.0).unwrap();
+            // The full 4d+2 bump-and-reprice Greeks set (spot ±, vol ±
+            // per asset, rate ±) plus the unchanged base market.
+            let mut scenarios = Vec::with_capacity(4 * d + 3);
+            for i in 0..d {
+                let (s0, v0) = (m.spots()[i], m.vols()[i]);
+                scenarios.push(m.with_spot(i, s0 * 1.01).unwrap());
+                scenarios.push(m.with_spot(i, s0 * 0.99).unwrap());
+                scenarios.push(m.with_vol(i, v0 + 0.01).unwrap());
+                scenarios.push(m.with_vol(i, v0 - 0.01).unwrap());
+            }
+            scenarios.push(m.with_rate(m.rate() + 0.001).unwrap());
+            scenarios.push(m.with_rate(m.rate() - 0.001).unwrap());
+            scenarios.push(m.clone());
+            for parallel in [false, true] {
+                let cube = plan.execute_cube(&products, &scenarios, parallel).unwrap();
+                assert_eq!(cube.len(), scenarios.len());
+                for (k, (scen, row)) in scenarios.iter().zip(&cube).enumerate() {
+                    let naive = eng
+                        .plan(scen, 1.0)
+                        .unwrap()
+                        .execute_multi(&products, false)
+                        .unwrap();
+                    for (p, (a, b)) in row.iter().zip(&naive).enumerate() {
+                        let at = format!("d={d} parallel={parallel} scenario {k} product {p}");
+                        assert_eq!(a.price.to_bits(), b.price.to_bits(), "{at}");
+                        assert_eq!(a.std_error.to_bits(), b.std_error.to_bits(), "{at}");
+                        assert_eq!(a.paths, b.paths);
+                    }
                 }
             }
         }

@@ -11,14 +11,16 @@
 //!   [`crate::path::GbmStepper::step_panel`]);
 //! * the average accumulates the basket sum over assets ascending from
 //!   0.0, exactly like the scalar `s.iter().sum::<f64>() / d`;
-//! * terminal payoffs are evaluated on each lane's gathered spot vector
-//!   by the very same `Payoff` methods.
+//! * terminal payoffs go through [`Payoff::eval_rows`] over the panel's
+//!   spot rows (log rows for the geometric family), which folds the
+//!   assets of each lane exactly as `Payoff::eval` folds a gathered
+//!   spot vector.
 //!
-//! The batched form wins time by (a) vectorizing the correlate and the
-//! drift/diffusion update over contiguous lanes, (b) skipping the
-//! per-step `exp` of values no payoff reads (terminal payoffs use only
-//! the final spots; extremes use only asset 0), and (c) amortising the
-//! per-path dispatch into one per-panel pass.
+//! The batched form wins time by (a) vectorizing the correlate, the
+//! drift/diffusion update and the payoff over contiguous lanes, (b)
+//! skipping the per-step `exp` of values no payoff reads (terminal
+//! payoffs use only the final spots; extremes use only asset 0), and (c)
+//! amortising the per-path dispatch into one per-panel pass.
 
 use crate::path::{walk_panel, GbmStepper, SoaPanel};
 use mdp_model::{PathDependence, Payoff};
@@ -41,10 +43,13 @@ pub struct PanelScratch {
     pub ys: Vec<f64>,
     /// Undiscounted control payoff per lane (zeros without a CV).
     pub xs: Vec<f64>,
+    /// `ln` of the walked panel's spot rows, in the panel's row layout:
+    /// what geometric payoffs read in [`eval_terminal_walked`].
+    pub(crate) logs: Vec<f64>,
     avg: Vec<f64>,
     pmax: Vec<f64>,
     pmin: Vec<f64>,
-    basket: Vec<f64>,
+    acc: Vec<f64>,
     term: Vec<f64>,
 }
 
@@ -54,84 +59,32 @@ impl PanelScratch {
         PanelScratch {
             ys: vec![0.0; lanes],
             xs: vec![0.0; lanes],
+            logs: vec![0.0; dim * lanes],
             avg: vec![0.0; lanes],
             pmax: vec![0.0; lanes],
             pmin: vec![0.0; lanes],
-            basket: vec![0.0; lanes],
+            acc: vec![0.0; lanes],
             term: vec![0.0; dim],
         }
     }
-}
 
-/// Row-wise evaluation of the common terminal payoffs, vectorized over
-/// lanes. Returns false for payoff families it does not cover (the
-/// caller falls back to the per-lane gather + `Payoff::eval`).
-///
-/// Bitwise-identical to the per-lane path: the basket accumulates
-/// `w·s` over assets ascending from 0.0 exactly like `Payoff::eval`'s
-/// `weights.iter().zip(spots).map(|(w, s)| w * s).sum()`, and the
-/// max/min families fold from ±∞ with `f64::max`/`f64::min` in the same
-/// asset order as `max_of`/`min_of`.
-fn fused_terminal(
-    payoff: &Payoff,
-    panel: &SoaPanel,
-    scratch: &mut PanelScratch,
-    d: usize,
-    n: usize,
-) -> bool {
-    let acc = &mut scratch.basket;
-    match payoff {
-        Payoff::BasketCall { weights, strike } | Payoff::BasketPut { weights, strike } => {
-            acc[..n].fill(0.0);
-            for (i, &w) in weights.iter().enumerate() {
-                let row = &panel.spot_row(i)[..n];
-                for (a, &s) in acc[..n].iter_mut().zip(row) {
-                    *a += w * s;
-                }
-            }
-            let call = matches!(payoff, Payoff::BasketCall { .. });
-            for (y, &b) in scratch.ys[..n].iter_mut().zip(acc[..n].iter()) {
-                *y = if call {
-                    (b - strike).max(0.0)
-                } else {
-                    (strike - b).max(0.0)
-                };
-            }
-            true
+    /// Store `ln` of every spot row's first `n` lanes: the input
+    /// [`eval_terminal_walked`] gives geometric payoffs.
+    pub fn fill_logs(&mut self, panel: &SoaPanel, n: usize) {
+        for i in 0..self.logs.len() / panel.lanes() {
+            self.fill_log_row(panel, i, n);
         }
-        Payoff::MaxCall { strike }
-        | Payoff::MaxPut { strike }
-        | Payoff::MinCall { strike }
-        | Payoff::MinPut { strike } => {
-            let is_max = matches!(payoff, Payoff::MaxCall { .. } | Payoff::MaxPut { .. });
-            acc[..n].fill(if is_max {
-                f64::NEG_INFINITY
-            } else {
-                f64::INFINITY
-            });
-            for i in 0..d {
-                let row = &panel.spot_row(i)[..n];
-                if is_max {
-                    for (a, &s) in acc[..n].iter_mut().zip(row) {
-                        *a = a.max(s);
-                    }
-                } else {
-                    for (a, &s) in acc[..n].iter_mut().zip(row) {
-                        *a = a.min(s);
-                    }
-                }
-            }
-            let call = matches!(payoff, Payoff::MaxCall { .. } | Payoff::MinCall { .. });
-            for (y, &m) in scratch.ys[..n].iter_mut().zip(acc[..n].iter()) {
-                *y = if call {
-                    (m - strike).max(0.0)
-                } else {
-                    (strike - m).max(0.0)
-                };
-            }
-            true
+    }
+
+    /// [`PanelScratch::fill_logs`] for asset `i`'s row only.
+    pub(crate) fn fill_log_row(&mut self, panel: &SoaPanel, i: usize, n: usize) {
+        let lanes = panel.lanes();
+        for (l, &s) in self.logs[i * lanes..i * lanes + n]
+            .iter_mut()
+            .zip(&panel.spot_row(i)[..n])
+        {
+            *l = s.ln();
         }
-        _ => false,
     }
 }
 
@@ -147,24 +100,25 @@ pub fn walk_panel_terminal(stepper: &GbmStepper, log0: &[f64], panel: &mut SoaPa
 
 /// Evaluate one terminal (non-path-dependent) payoff on a panel already
 /// walked by [`walk_panel_terminal`], into `scratch.ys` (undiscounted).
-/// Per lane this performs exactly the arithmetic [`eval_panel`] performs
-/// for the same payoff, so evaluating k payoffs over one shared walk is
-/// bitwise-identical to k separate walks.
+/// A geometric payoff reads the logs [`PanelScratch::fill_logs`] stored
+/// for this walk's spot rows. Per lane this performs exactly the
+/// arithmetic [`eval_panel`] performs for the same payoff, so
+/// evaluating k payoffs over one shared walk is bitwise-identical to k
+/// separate walks.
 pub fn eval_terminal_walked(
     payoff: &Payoff,
     panel: &SoaPanel,
     scratch: &mut PanelScratch,
-    d: usize,
     n: usize,
 ) {
     debug_assert_eq!(payoff.path_dependence(), PathDependence::None);
-    if fused_terminal(payoff, panel, scratch, d, n) {
-        return;
-    }
-    for lane in 0..n {
-        panel.gather_spots(lane, &mut scratch.term);
-        scratch.ys[lane] = payoff.eval(&scratch.term);
-    }
+    let PanelScratch { ys, logs, acc, .. } = scratch;
+    let rows = if payoff.is_geometric() {
+        &logs[..]
+    } else {
+        panel.spot_rows()
+    };
+    payoff.eval_rows(&[], rows, panel.lanes(), acc, &mut ys[..n], |_, y| y);
 }
 
 /// Walk the panel's first `n` lanes (normals already in place) and
@@ -190,20 +144,15 @@ pub fn eval_panel(
     debug_assert!(cv.is_none() || dep == PathDependence::None);
     match dep {
         PathDependence::None => {
-            if cv.is_none() {
-                // Terminal payoff without a control: the shared-walk
-                // split used by the multi-payoff batch path.
-                walk_panel_terminal(stepper, log0, panel, n);
-                eval_terminal_walked(payoff, panel, scratch, d, n);
-                return;
-            }
             // Terminal payoff: no intermediate exp needed at all.
-            walk_panel(stepper, log0, panel, n, |_, _| {});
-            panel.exp_all(n);
-            for lane in 0..n {
-                panel.gather_spots(lane, &mut scratch.term);
-                scratch.ys[lane] = payoff.eval(&scratch.term);
-                if let Some(cv) = cv {
+            walk_panel_terminal(stepper, log0, panel, n);
+            if payoff.is_geometric() {
+                scratch.fill_logs(panel, n);
+            }
+            eval_terminal_walked(payoff, panel, scratch, n);
+            if let Some(cv) = cv {
+                for lane in 0..n {
+                    panel.gather_spots(lane, &mut scratch.term);
                     let g: f64 = cv
                         .weights
                         .iter()
@@ -221,7 +170,7 @@ pub fn eval_panel(
         }
         PathDependence::Average => {
             scratch.avg[..n].fill(0.0);
-            let (avg, basket) = (&mut scratch.avg, &mut scratch.basket);
+            let (avg, basket) = (&mut scratch.avg, &mut scratch.acc);
             walk_panel(stepper, log0, panel, n, |_, p| {
                 p.exp_all(n);
                 // basket[lane] = Σᵢ spotᵢ — assets ascending from 0.0,

@@ -192,31 +192,47 @@ impl GbmStepper {
 
     /// Walk a panel whose normal rows were pre-correlated by
     /// [`GbmStepper::correlate_panel_in_place`] to maturity and
-    /// exponentiate, using this stepper's drift/diffusion scalars.
+    /// exponentiate, using this stepper's drift/diffusion scalars: one
+    /// [`GbmStepper::walk_correlated_row`] per asset.
+    pub fn walk_correlated_terminal(&self, log0: &[f64], panel: &mut SoaPanel, n: usize) {
+        debug_assert_eq!(log0.len(), self.dim);
+        for (i, &l0) in log0.iter().enumerate() {
+            self.walk_correlated_row(i, l0, panel, n);
+        }
+    }
+
+    /// Walk asset `i`'s row of a pre-correlated panel from log-spot
+    /// `log0` to maturity and exponentiate it into the spot row.
     ///
     /// Per lane the update is `log += drift_dt[i] + vol_sqdt[i]·w` —
     /// the same final expression, in the same order, as
     /// [`GbmStepper::step_panel`] — so the terminal spots are bitwise
     /// those of [`crate::panel::walk_panel_terminal`] over the original
-    /// normals with this stepper.
-    pub fn walk_correlated_terminal(&self, log0: &[f64], panel: &mut SoaPanel, n: usize) {
-        let d = self.dim;
-        let lanes = panel.lanes;
+    /// normals with this stepper. Assets never mix after the correlate,
+    /// so a row depends only on `log0`, `drift_dt[i]` and `vol_sqdt[i]`.
+    pub fn walk_correlated_row(&self, i: usize, log0: f64, panel: &mut SoaPanel, n: usize) {
+        let (d, lanes) = (self.dim, panel.lanes);
         debug_assert_eq!(panel.dim, d);
-        debug_assert!(n <= lanes);
-        panel.reset_logs(log0, n);
+        debug_assert!(i < d && n <= lanes);
+        let (dd, vs) = (self.drift_dt[i], self.vol_sqdt[i]);
+        let lrow = &mut panel.log[i * lanes..i * lanes + n];
+        lrow.fill(log0);
         for step in 0..self.steps {
-            let zbase = step * d * lanes;
-            for i in 0..d {
-                let (dd, vs) = (self.drift_dt[i], self.vol_sqdt[i]);
-                let wrow = &panel.z[zbase + i * lanes..zbase + i * lanes + n];
-                let lrow = &mut panel.log[i * lanes..i * lanes + n];
-                for (ll, &wl) in lrow.iter_mut().zip(wrow) {
-                    *ll += dd + vs * wl;
-                }
+            let w = step * d * lanes + i * lanes;
+            for (ll, &wl) in lrow.iter_mut().zip(&panel.z[w..w + n]) {
+                *ll += dd + vs * wl;
             }
         }
-        panel.exp_all(n);
+        panel.exp_row(i, n);
+    }
+
+    /// Whether asset `i` walks bitwise alike under both steppers (equal
+    /// `drift_dt[i]` and `vol_sqdt[i]` bits), so that from the same
+    /// log-spot and correlated normals [`GbmStepper::walk_correlated_row`]
+    /// returns the same row.
+    pub(crate) fn same_asset_walk(&self, other: &GbmStepper, i: usize) -> bool {
+        self.drift_dt[i].to_bits() == other.drift_dt[i].to_bits()
+            && self.vol_sqdt[i].to_bits() == other.vol_sqdt[i].to_bits()
     }
 }
 
@@ -352,6 +368,18 @@ impl SoaPanel {
     /// Asset `i`'s spot row (valid after the matching `exp_row`/`exp_all`).
     pub fn spot_row(&self, i: usize) -> &[f64] {
         &self.spot[i * self.lanes..(i + 1) * self.lanes]
+    }
+
+    /// Every spot row, asset `i` at `[i·lanes..(i+1)·lanes]` — the row
+    /// layout [`mdp_model::Payoff::eval_rows`] takes with stride `lanes`.
+    pub(crate) fn spot_rows(&self) -> &[f64] {
+        &self.spot
+    }
+
+    /// Mutable asset `i`'s spot row, for restoring a row a scenario
+    /// re-walked.
+    pub(crate) fn spot_row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.spot[i * self.lanes..(i + 1) * self.lanes]
     }
 
     /// Gather lane `lane`'s spot vector into `out` (length dim).

@@ -197,6 +197,110 @@ impl Payoff {
         }
     }
 
+    /// True for the geometric family, whose [`Payoff::eval_rows`] reads
+    /// `ln Sᵢ` instead of `Sᵢ` (callers cache the logs across payoffs).
+    pub fn is_geometric(&self) -> bool {
+        matches!(
+            self,
+            Payoff::GeometricCall { .. } | Payoff::GeometricPut { .. }
+        )
+    }
+
+    /// Evaluate a terminal payoff over a row of `n = out.len()` asset
+    /// vectors, writing `out[l] = combine(out[l], payoff(vector l))`.
+    ///
+    /// Assets `0..prefix.len()` take the `prefix` values on every lane
+    /// (the fixed outer axes of a lattice run; empty for a Monte Carlo
+    /// panel). The remaining assets vary along the row: asset
+    /// `prefix.len() + r` of lane `l` is `rows[r·stride + l]`, with
+    /// `rows.len()` a multiple of `stride ≥ n`. For the geometric family
+    /// ([`Payoff::is_geometric`]) both carry `ln Sᵢ`.
+    ///
+    /// Per lane the result is bitwise [`Payoff::eval`] of the gathered
+    /// vector: assets fold in ascending order from the same seed
+    /// (`−0.0`, the neutral element `f64: Sum` folds from, or `∓∞` for
+    /// the max/min), so the loops only reorder work across lanes. The
+    /// exchange and spread payoffs fold `S₁·1 + S₂·(−1)`, which is
+    /// exactly `S₁ − S₂`. `acc` is scratch of at least `n` values.
+    ///
+    /// # Panics
+    /// Panics for path-dependent payoffs or on dimension mismatch.
+    pub fn eval_rows(
+        &self,
+        prefix: &[f64],
+        rows: &[f64],
+        stride: usize,
+        acc: &mut [f64],
+        out: &mut [f64],
+        combine: impl Fn(f64, f64) -> f64,
+    ) {
+        let n = out.len();
+        assert!(0 < stride && n <= stride && rows.len() % stride == 0 && !rows.is_empty());
+        let dim = prefix.len() + rows.len() / stride;
+        if let Some(d) = self.required_dim() {
+            assert_eq!(dim, d, "payoff needs {d} assets");
+        }
+        let (fold, map) = self.row_form();
+        // The prefix folds once, as a one-lane row, then seeds every lane.
+        let mut head = [fold.seed()];
+        for (i, &s) in prefix.iter().enumerate() {
+            fold.apply_row(&mut head, i, &[s]);
+        }
+        let acc = &mut acc[..n];
+        acc.fill(head[0]);
+        for (r, row) in rows.chunks_exact(stride).enumerate() {
+            fold.apply_row(acc, prefix.len() + r, &row[..n]);
+        }
+        if let RowFold::LogSum = fold {
+            let d = dim as f64;
+            for a in acc.iter_mut() {
+                *a = (*a / d).exp();
+            }
+        }
+        map.apply_row(acc, out, combine);
+    }
+
+    /// The fold over assets and the map from the folded value to the
+    /// payoff that [`Payoff::eval`] computes, as row operations.
+    fn row_form(&self) -> (RowFold<'_>, RowMap) {
+        static EXCHANGE: [f64; 2] = [1.0, -1.0];
+        match self {
+            Payoff::BasketCall { weights, strike } => {
+                (RowFold::Linear(weights), RowMap::Call(*strike))
+            }
+            Payoff::BasketPut { weights, strike } => {
+                (RowFold::Linear(weights), RowMap::Put(*strike))
+            }
+            Payoff::GeometricCall { strike } => (RowFold::LogSum, RowMap::Call(*strike)),
+            Payoff::GeometricPut { strike } => (RowFold::LogSum, RowMap::Put(*strike)),
+            Payoff::MaxCall { strike } => (RowFold::Max, RowMap::Call(*strike)),
+            Payoff::MinCall { strike } => (RowFold::Min, RowMap::Call(*strike)),
+            Payoff::MaxPut { strike } => (RowFold::Max, RowMap::Put(*strike)),
+            Payoff::MinPut { strike } => (RowFold::Min, RowMap::Put(*strike)),
+            Payoff::Exchange => (RowFold::Linear(&EXCHANGE), RowMap::Positive),
+            Payoff::SpreadCall { strike } => (RowFold::Linear(&EXCHANGE), RowMap::Call(*strike)),
+            Payoff::DigitalBasketCall {
+                weights,
+                strike,
+                cash,
+            } => (
+                RowFold::Linear(weights),
+                RowMap::Digital {
+                    strike: *strike,
+                    cash: *cash,
+                },
+            ),
+            Payoff::AsianCall { .. }
+            | Payoff::AsianPut { .. }
+            | Payoff::UpOutCall { .. }
+            | Payoff::DownOutPut { .. }
+            | Payoff::LookbackCallFloating
+            | Payoff::LookbackPutFloating => {
+                panic!("path-dependent payoff has no terminal row form")
+            }
+        }
+    }
+
     /// Validate weights/strikes.
     pub fn validate(&self) -> Result<(), ModelError> {
         let check_strike = |k: f64| {
@@ -278,6 +382,82 @@ fn validate_weights(weights: &[f64]) -> Result<(), ModelError> {
         }
     }
     Ok(())
+}
+
+/// How [`Payoff::eval_rows`] folds the assets of one vector.
+#[derive(Clone, Copy)]
+enum RowFold<'a> {
+    /// `Σ wᵢ·Sᵢ`.
+    Linear(&'a [f64]),
+    Max,
+    Min,
+    /// `Σ ln Sᵢ` over log inputs.
+    LogSum,
+}
+
+impl RowFold<'_> {
+    fn seed(self) -> f64 {
+        match self {
+            RowFold::Linear(_) | RowFold::LogSum => -0.0,
+            RowFold::Max => f64::NEG_INFINITY,
+            RowFold::Min => f64::INFINITY,
+        }
+    }
+
+    /// Fold asset `i`'s row into the per-lane accumulators, with the
+    /// family dispatch outside the lane loop.
+    fn apply_row(self, acc: &mut [f64], i: usize, row: &[f64]) {
+        match self {
+            RowFold::Linear(w) => {
+                let w = w[i];
+                for (a, &s) in acc.iter_mut().zip(row) {
+                    *a += w * s;
+                }
+            }
+            RowFold::Max => {
+                for (a, &s) in acc.iter_mut().zip(row) {
+                    *a = a.max(s);
+                }
+            }
+            RowFold::Min => {
+                for (a, &s) in acc.iter_mut().zip(row) {
+                    *a = a.min(s);
+                }
+            }
+            RowFold::LogSum => {
+                for (a, &s) in acc.iter_mut().zip(row) {
+                    *a += s;
+                }
+            }
+        }
+    }
+}
+
+/// How [`Payoff::eval_rows`] maps a folded value to the payoff.
+#[derive(Clone, Copy)]
+enum RowMap {
+    Call(f64),
+    Put(f64),
+    /// `x⁺` (the exchange payoff).
+    Positive,
+    Digital {
+        strike: f64,
+        cash: f64,
+    },
+}
+
+impl RowMap {
+    fn apply_row(self, acc: &[f64], out: &mut [f64], combine: impl Fn(f64, f64) -> f64) {
+        let lanes = out.iter_mut().zip(acc);
+        match self {
+            RowMap::Call(k) => lanes.for_each(|(o, &x)| *o = combine(*o, (x - k).max(0.0))),
+            RowMap::Put(k) => lanes.for_each(|(o, &x)| *o = combine(*o, (k - x).max(0.0))),
+            RowMap::Positive => lanes.for_each(|(o, &x)| *o = combine(*o, x.max(0.0))),
+            RowMap::Digital { strike, cash } => lanes.for_each(|(o, &x)| {
+                *o = combine(*o, if x >= strike { cash } else { 0.0 });
+            }),
+        }
+    }
 }
 
 #[inline]
@@ -488,6 +668,68 @@ mod tests {
         ];
         for p in &payoffs {
             assert!(p.eval(&spots) >= 0.0, "{p:?}");
+        }
+    }
+    #[test]
+    fn eval_rows_bitwise_equals_eval_for_every_terminal_family() {
+        // Lanes hold vectors near the money; the weights are unequal,
+        // one negative and one −0.0, so every fold seed and sign shows.
+        let lanes = 9;
+        let spot = |i: usize, l: usize| 80.0 + 5.0 * l as f64 + 7.3 * i as f64 - (i * l % 4) as f64;
+        for d in 1..=4usize {
+            let w: Vec<f64> = [0.5, -0.25, -0.0, 1.5][..d].to_vec();
+            let mut payoffs = vec![
+                Payoff::BasketCall {
+                    weights: w.clone(),
+                    strike: 40.0,
+                },
+                Payoff::BasketPut {
+                    weights: w.clone(),
+                    strike: 90.0,
+                },
+                Payoff::DigitalBasketCall {
+                    weights: w,
+                    strike: 60.0,
+                    cash: 3.0,
+                },
+                Payoff::GeometricCall { strike: 95.0 },
+                Payoff::GeometricPut { strike: 100.0 },
+                Payoff::MaxCall { strike: 100.0 },
+                Payoff::MaxPut { strike: 110.0 },
+                Payoff::MinCall { strike: 85.0 },
+                Payoff::MinPut { strike: 100.0 },
+            ];
+            if d == 2 {
+                payoffs.push(Payoff::Exchange);
+                payoffs.push(Payoff::SpreadCall { strike: 2.0 });
+            }
+            for payoff in &payoffs {
+                let input = |s: f64| if payoff.is_geometric() { s.ln() } else { s };
+                // Every split of the assets into a fixed prefix and rows.
+                for p in 0..d {
+                    let stride = lanes + 3;
+                    let prefix: Vec<f64> = (0..p).map(|i| input(spot(i, 0))).collect();
+                    let mut rows = vec![0.0; (d - p) * stride];
+                    for i in p..d {
+                        for l in 0..lanes {
+                            rows[(i - p) * stride + l] = input(spot(i, l));
+                        }
+                    }
+                    let mut acc = vec![0.0; lanes];
+                    let mut out = vec![1.0; lanes];
+                    payoff.eval_rows(&prefix, &rows, stride, &mut acc, &mut out, |o, y| o + y);
+                    for (l, o) in out.iter().enumerate() {
+                        let v: Vec<f64> =
+                            (0..d).map(|i| spot(i, if i < p { 0 } else { l })).collect();
+                        let want = 1.0 + payoff.eval(&v);
+                        assert_eq!(
+                            o.to_bits(),
+                            want.to_bits(),
+                            "{payoff:?} d={d} prefix={p} lane {l}"
+                        );
+                    }
+                }
+            }
         }
     }
 }
